@@ -15,7 +15,6 @@ from .errors import (
     DegenerateTriangle,
     DidNotConverge,
     EnvelopeViolated,
-    FoldFitFailed,
     IndexOutOfRange,
     MeshError,
     NonConforming,
@@ -31,7 +30,6 @@ from .estimator import (
     FitConfig,
     ModelSpace,
     density_from_gamma,
-    eval_density,
     fit,
     gradient,
     hessian,
@@ -42,7 +40,6 @@ from .estimator import (
     objective,
 )
 from .geometry import (
-    GridIndex,
     MeshQuality,
     Triangulation,
     barycentric,
@@ -75,4 +72,19 @@ from .spline_space import ConstraintSystem, build_constraints, nullspace, penalt
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BUNDLED_MESHES", "load_bundled_mesh", "mesh_paths", "SplineSpec",
+    "evaluation_matrix", "AllFoldsFailed", "DegenerateTriangle", "DidNotConverge",
+    "EnvelopeViolated", "IndexOutOfRange", "MeshError", "NonConforming",
+    "NonFiniteIntegrand", "PointOutsideDomain", "SingularBandwidth", "SingularSystem",
+    "TriDensityError", "UnsupportedSmoothness", "DensityFit", "FitConfig", "ModelSpace",
+    "density_from_gamma", "fit", "gradient", "hessian", "init_theta",
+    "initial_histogram", "initial_lss", "make_workspace", "objective", "MeshQuality",
+    "Triangulation", "barycentric", "load_mesh", "mesh_quality", "vertex_neighborhood",
+    "DEFAULT_LAMBDA_GRID", "CvReport", "cv_error", "fold_assignments", "select_lambda",
+    "QuadRule", "conical_rule", "integrate_domain", "integrate_triangle", "rule_9",
+    "rule_12", "KernelDensity", "MiseResult", "Scenario", "get_scenario",
+    "kde_baseline", "mise", "run_benchmark", "sample", "scenario_sim1", "scenario_sim2",
+    "scenario_sim3", "ConstraintSystem", "build_constraints", "nullspace",
+    "penalty_matrix", "smoothness_matrix",
+]

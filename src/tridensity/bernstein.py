@@ -173,7 +173,7 @@ class EvalMatrix:
     triangle_index: np.ndarray
 
 
-def evaluation_matrix(tr, spec, points, tol=None, allow_outside=False, index=None):
+def evaluation_matrix(tr, spec, points, allow_outside=False):
     """Assemble the points-by-coefficients evaluation matrix.
 
     Raises PointOutsideDomain listing offending row indices unless
@@ -181,8 +181,7 @@ def evaluation_matrix(tr, spec, points, tol=None, allow_outside=False, index=Non
     through triangle_index.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    kwargs = {} if tol is None else {"tol": tol}
-    t_idx = tr.locate(pts, index=index, **kwargs)
+    t_idx = tr.locate(pts)
     outside = np.where(t_idx < 0)[0]
     if outside.size and not allow_outside:
         raise PointOutsideDomain(outside.tolist())

@@ -21,7 +21,7 @@ from . import estimator, model_selection, simbench
 from .assets import BUNDLED_MESHES, mesh_paths
 from .bernstein import SplineSpec, index_set
 from .errors import DidNotConverge, MeshError, PointOutsideDomain, TriDensityError
-from .geometry import load_mesh, load_points, mesh_quality
+from .geometry import cell_grid, load_mesh, load_points, mesh_quality
 
 SCHEMA_VERSION = 1
 
@@ -204,13 +204,7 @@ def _write_json(path, obj):
 def _grid_csv(tr, resolution, values_fn):
     """Density grid CSV text: cell centers of the bounding box, row-major in
     x then y; out-of-domain cells carry density 0 and in_domain 0."""
-    xmin, xmax, ymin, ymax = tr.bounding_box()
-    dx = (xmax - xmin) / resolution
-    dy = (ymax - ymin) / resolution
-    xs = xmin + dx * (np.arange(resolution) + 0.5)
-    ys = ymin + dy * (np.arange(resolution) + 0.5)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    pts, _ = cell_grid(tr, resolution)
     values, inside = values_fn(pts)
     lines = ["x,y,density,in_domain"]
     for (x, y), v, flag in zip(pts, values, inside):

@@ -60,15 +60,6 @@ class DidNotConverge(TriDensityError):
         super().__init__(message)
 
 
-class FoldFitFailed(TriDensityError):
-    """A cross-validation fold failed to fit; carries the fold id."""
-
-    def __init__(self, fold, cause=None):
-        self.fold = fold
-        self.cause = cause
-        super().__init__(f"fit failed on fold {fold}: {cause}")
-
-
 class AllFoldsFailed(TriDensityError):
     """Every cross-validation fold failed for one penalty value."""
 

@@ -19,7 +19,7 @@ from scipy import linalg
 from . import bernstein
 from .bernstein import SplineSpec, evaluation_matrix
 from .errors import DidNotConverge, PointOutsideDomain, SingularSystem
-from .quadrature import rule_9
+from .quadrature import domain_nodes, rule_9
 from .spline_space import build_constraints, penalty_matrix
 
 # Linear predictors are capped here before exponentiation; an objective
@@ -29,6 +29,10 @@ EXP_CAP = 700.0
 # Floor applied to the initial piecewise-constant density before taking
 # logs, relative to the uniform density 1/|domain|.
 FLOOR_REL = 1e-8
+
+# Average points per triangle below which the seed aggregates counts over
+# vertex neighborhoods (initial_lss) instead of single triangles.
+LSS_THRESHOLD = 5.0
 
 # Ridge weight of the least-squares smoothing that seeds the optimizer.
 INIT_RIDGE = 1e-4
@@ -48,8 +52,6 @@ class FitConfig:
     grad_tol: float = 1e-8
     step_tol: float = 1e-12
     obj_tol: float = 1e-12
-    lss_threshold: float = 5.0  # avg points per triangle below which the
-                                # neighborhood-aggregated initializer is used
 
     def __post_init__(self):
         if self.lam < 0:
@@ -68,10 +70,10 @@ class ModelSpace:
     on the same mesh, e.g. cross-validation folds.
     """
 
-    def __init__(self, tr, spec, rule=None):
+    def __init__(self, tr, spec):
         self.tr = tr
         self.spec = spec
-        self.rule = rule or rule_9()
+        self.rule = rule_9()
         self.constraints = build_constraints(tr, spec)
         self.penalty = penalty_matrix(tr, spec)
         basis = self.constraints.basis
@@ -85,12 +87,7 @@ class ModelSpace:
         self.quad_basis = np.einsum("qd,ndp->nqp", local, blocks).reshape(
             tr.n_triangles * n_q, basis.shape[1]
         )
-        self.quad_weights = np.repeat(tr.areas, n_q) * np.tile(
-            self.rule.weights, tr.n_triangles
-        )
-        self.quad_points = np.concatenate(
-            [self.rule.cartesian_nodes(tr.triangle_coords(t)) for t in range(tr.n_triangles)]
-        )
+        self.quad_points, self.quad_weights = domain_nodes(tr, self.rule)
 
     @property
     def n_free(self):
@@ -165,30 +162,6 @@ class InitialDensity:
     values: np.ndarray  # one density value per triangle
     variant: str        # "histogram" or "lss"
 
-    def value_at(self, points):
-        """Density values at points; points off the mesh take the value of
-        the nearest triangle (relevant only when seeding from a finer mesh
-        whose polygon differs slightly from the fitting mesh)."""
-        idx = self.tr.locate(np.atleast_2d(points))
-        missing = idx < 0
-        if np.any(missing):
-            idx = idx.copy()
-            idx[missing] = _nearest_triangle(self.tr, np.atleast_2d(points)[missing])
-        return self.values[idx]
-
-
-def _nearest_triangle(tr, pts):
-    """Triangle maximizing the minimum barycentric coordinate per point."""
-    best = np.full(len(pts), -np.inf)
-    arg = np.zeros(len(pts), dtype=np.int64)
-    for t in range(tr.n_triangles):
-        b = tr.barycentric(t, pts)
-        score = b.min(axis=1)
-        better = score > best
-        best[better] = score[better]
-        arg[better] = t
-    return arg
-
 
 def initial_histogram(tr, points):
     """Histogram density: count in each triangle over n times its area."""
@@ -224,12 +197,15 @@ def init_theta(space, initial):
     """Seed coefficients by ridge-penalized least squares on log density.
 
     Fits the reduced basis to log(max(initial, floor)) at the quadrature
-    nodes; the floor keeps empty triangles finite.
+    nodes; the floor keeps empty triangles finite. The nodes are strictly
+    interior and triangle-major, so each triangle's value repeats once per
+    node.
     """
     if not np.any(initial.values > 0):
         raise SingularSystem("initial density is identically zero")
     floor = FLOOR_REL / space.tr.area
-    y = np.log(np.maximum(initial.value_at(space.quad_points), floor))
+    values = np.repeat(initial.values, len(space.rule.weights))
+    y = np.log(np.maximum(values, floor))
     a = space.quad_basis
     lhs = a.T @ a + INIT_RIDGE * space.reduced_penalty
     rhs = a.T @ y
@@ -237,6 +213,19 @@ def init_theta(space, initial):
         return linalg.solve(lhs, rhs, assume_a="pos")
     except linalg.LinAlgError as exc:
         raise SingularSystem(f"seed least-squares system is singular: {exc}") from exc
+
+
+def seed_theta(space, points):
+    """Optimizer seed for points on space's mesh: the histogram seed, or
+    the neighborhood-aggregated one when the average number of points per
+    triangle is below LSS_THRESHOLD. Only the starting point of Newton
+    depends on it; the minimizer is unique."""
+    tr = space.tr
+    if len(points) / tr.n_triangles < LSS_THRESHOLD:
+        initial = initial_lss(tr, points)
+    else:
+        initial = initial_histogram(tr, points)
+    return init_theta(space, initial)
 
 
 @dataclass
@@ -277,14 +266,9 @@ class DensityFit:
         )
 
 
-def eval_density(fit, points):
-    """Renormalized density of a fit at points; see DensityFit.density."""
-    return fit.density(points)
-
-
-def log_integral_exp(tr, spec, gamma, rule=None):
+def log_integral_exp(tr, spec, gamma):
     """Log of the quadrature integral of exp(g) for raw coefficients."""
-    rule = rule or rule_9()
+    rule = rule_9()
     local = bernstein.evaluate(spec.degree, rule.nodes)
     dim = spec.per_triangle_dim
     eta = local @ gamma.reshape(tr.n_triangles, dim).T  # (n_q, N)
@@ -305,18 +289,13 @@ def density_from_gamma(tr, spec, gamma, points, log_norm_const=None):
     return values, inside
 
 
-def fit(tr, points, config=None, space=None, initial_tr=None, theta0=None):
+def fit(tr, points, config=None, space=None, theta0=None):
     """Fit the penalized log-density to points scattered on the mesh.
 
-    Newton directions with an Armijo backtracking line search; a Hessian
-    factorization failure falls back to a plain gradient step for that
-    iteration. Seeds from the histogram initializer, switching to the
-    neighborhood-aggregated variant when the average number of points per
-    triangle drops below config.lss_threshold. An optional finer mesh may
-    be passed for the histogram only.
-
-    Raises DidNotConverge (carrying the last iterate and objective trace)
-    if the iteration limit is reached first.
+    Builds the workspace of the points, seeds with seed_theta unless
+    theta0 is given, and runs newton. Raises DidNotConverge (carrying the
+    last iterate and objective trace) if the iteration limit is reached
+    first.
     """
     config = config or FitConfig()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -325,15 +304,22 @@ def fit(tr, points, config=None, space=None, initial_tr=None, theta0=None):
     if space is None:
         space = ModelSpace(tr, config.spec)
     work = make_workspace(space, pts, config.lam)
-
     if theta0 is None:
-        hist_tr = initial_tr if initial_tr is not None else tr
-        if len(pts) / hist_tr.n_triangles < config.lss_threshold:
-            initial = initial_lss(hist_tr, pts)
-        else:
-            initial = initial_histogram(hist_tr, pts)
-        theta0 = init_theta(space, initial)
+        theta0 = seed_theta(space, pts)
+    return newton(work, theta0, config)
 
+
+def newton(work, theta0, config):
+    """Minimize the objective of a workspace from theta0.
+
+    Newton directions with an Armijo backtracking line search; a Hessian
+    factorization failure falls back to a plain gradient step for that
+    iteration. The penalty weight is work.lam; config supplies the
+    iteration limit and tolerances. Raises DidNotConverge (carrying the
+    last iterate and objective trace) if the iteration limit is reached
+    first.
+    """
+    space = work.space
     theta = np.asarray(theta0, dtype=float).copy()
     obj = objective(theta, work)
     if not np.isfinite(obj):
@@ -385,7 +371,7 @@ def fit(tr, points, config=None, space=None, initial_tr=None, theta0=None):
         space=space,
         theta=theta,
         gamma=gamma,
-        lam=config.lam,
+        lam=work.lam,
         log_norm_const=float(np.log(space.integral_exp(theta))),
         objective_trace=trace,
         converged=converged,

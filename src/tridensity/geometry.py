@@ -217,7 +217,7 @@ class Triangulation:
         """
         return barycentric(self._corners[t], points)
 
-    def locate(self, points, tol=TOL_LOCATE, index=None):
+    def locate(self, points, tol=TOL_LOCATE):
         """Find the triangle containing each point.
 
         Scans triangles in index order and returns the first whose
@@ -225,22 +225,10 @@ class Triangulation:
         resolve to the lowest-indexed adjacent triangle. Returns -1 for
         points outside the domain. A single (2,) point yields an int or
         None; an (n, 2) array yields an int64 array.
-
-        An optional GridIndex accelerates the scan without changing any
-        answer: it only prunes triangles that cannot contain the point.
         """
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
-        if index is not None:
-            found = index.locate(pts, tol=tol)
-        else:
-            found = self._locate_bruteforce(pts, tol)
-        if single:
-            return None if found[0] < 0 else int(found[0])
-        return found
-
-    def _locate_bruteforce(self, pts, tol):
         found = np.full(len(pts), -1, dtype=np.int64)
         chunk = max(1, int(2_000_000 // max(1, self.n_triangles)))
         for lo in range(0, len(pts), chunk):
@@ -253,7 +241,21 @@ class Triangulation:
             any_hit = inside.any(axis=0)
             first = inside.argmax(axis=0)  # first True = lowest triangle index
             found[lo:lo + chunk] = np.where(any_hit, first, -1)
+        if single:
+            return None if found[0] < 0 else int(found[0])
         return found
+
+
+def cell_grid(tr, resolution):
+    """Cell centers of a resolution x resolution grid over the bounding box,
+    row-major in x then y, and the area of one cell."""
+    xmin, xmax, ymin, ymax = tr.bounding_box()
+    dx = (xmax - xmin) / resolution
+    dy = (ymax - ymin) / resolution
+    xs = xmin + dx * (np.arange(resolution) + 0.5)
+    ys = ymin + dy * (np.arange(resolution) + 0.5)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    return np.column_stack([gx.ravel(), gy.ravel()]), dx * dy
 
 
 def barycentric(tri_coords, points):
@@ -373,47 +375,3 @@ def vertex_neighborhood(tr, t):
     for v in tr.triangles[t]:
         out.update(tr._vertex_to_triangles[int(v)])
     return out
-
-
-class GridIndex:
-    """Uniform-grid bucket index over triangle bounding boxes.
-
-    Purely an accelerator for Triangulation.locate: cells hold candidate
-    triangles sorted by index, so the first-containing-triangle answer is
-    identical to the brute-force scan.
-    """
-
-    def __init__(self, tr, resolution=None):
-        self.tr = tr
-        xmin, xmax, ymin, ymax = tr.bounding_box()
-        self.xmin, self.ymin = xmin, ymin
-        n = resolution or max(1, int(math.sqrt(tr.n_triangles)))
-        self.nx = self.ny = n
-        self.dx = max((xmax - xmin) / n, 1e-300)
-        self.dy = max((ymax - ymin) / n, 1e-300)
-        self.cells = [[] for _ in range(n * n)]
-        corners = tr.vertices[tr.triangles]
-        for t in range(tr.n_triangles):
-            x0, y0 = corners[t].min(axis=0)
-            x1, y1 = corners[t].max(axis=0)
-            i0, i1 = self._clip(int((x0 - xmin) / self.dx)), self._clip(int((x1 - xmin) / self.dx))
-            j0, j1 = self._clip(int((y0 - ymin) / self.dy)), self._clip(int((y1 - ymin) / self.dy))
-            for i in range(i0, i1 + 1):
-                for j in range(j0, j1 + 1):
-                    self.cells[i * n + j].append(t)
-
-    def _clip(self, k):
-        return min(max(k, 0), self.nx - 1)
-
-    def locate(self, pts, tol=TOL_LOCATE):
-        tr = self.tr
-        found = np.full(len(pts), -1, dtype=np.int64)
-        for i, p in enumerate(pts):
-            ci = self._clip(int((p[0] - self.xmin) / self.dx))
-            cj = self._clip(int((p[1] - self.ymin) / self.dy))
-            for t in self.cells[ci * self.nx + cj]:
-                b = tr.barycentric(t, p)
-                if b[0] >= -tol and b[1] >= -tol and b[2] >= -tol:
-                    found[i] = t
-                    break
-        return found

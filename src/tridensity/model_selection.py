@@ -10,14 +10,14 @@ and flagged rather than poisoning the whole grid cell.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import AllFoldsFailed, TriDensityError
-from .estimator import EXP_CAP, FitConfig, ModelSpace
+from .estimator import EXP_CAP, FitConfig, ModelSpace, Workspace
 from . import estimator
-from .quadrature import rule_9
+from .quadrature import integrate_domain, rule_9
 
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-6.0, 0.0, 9))
 
@@ -43,16 +43,13 @@ def fold_assignments(n, folds, seed):
     return out
 
 
-def fold_error(density_fn, tr, test_points, rule=None):
+def fold_error(density_fn, tr, test_points):
     """Held-out score of an arbitrary density callable.
 
     density_fn maps an (n, 2) array to density values; the squared term is
     integrated with the fitting quadrature rule over the mesh.
     """
-    from .quadrature import integrate_domain
-
-    rule = rule or rule_9()
-    sq = integrate_domain(lambda p: np.asarray(density_fn(p)) ** 2, tr, rule)
+    sq = integrate_domain(lambda p: np.asarray(density_fn(p)) ** 2, tr, rule_9())
     test = np.atleast_2d(np.asarray(test_points, dtype=float))
     return float(sq - 2.0 * np.mean(density_fn(test)))
 
@@ -94,8 +91,11 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
                   seed=0, space=None, config=None, threads=1):
     """Evaluate the cross-validation error over a grid of smoothing weights.
 
-    Fits are warm-started along the ascending grid within each fold. Ties
-    are broken toward the larger (smoother) weight. A grid cell where every
+    The data design matrix is built once for all points; a fold's training
+    mean is the mean of its training rows. Within each fold the first fit
+    starts from estimator.seed_theta and later ones warm-start along the
+    ascending grid; both only choose Newton's starting point. Ties are
+    broken toward the larger (smoother) weight. A grid cell where every
     fold failed reports +inf and is never selected; if the whole grid is
     +inf, AllFoldsFailed is raised.
     """
@@ -115,23 +115,20 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
     def run_fold(k):
         """Fold errors for every lambda, NaN where the fit failed."""
         test_mask = assign == k
-        train = pts[~test_mask]
-        bq_train = data_basis[~test_mask]
+        train_mean = data_basis[~test_mask].mean(axis=0)
         bq_test = data_basis[test_mask]
         errors = np.full(len(lambda_grid), np.nan)
-        warm = None
+        theta = None
         for gi in order:
             lam = lambda_grid[gi]
-            cfg = FitConfig(
-                spec=base.spec, lam=lam, max_iters=base.max_iters,
-                grad_tol=base.grad_tol, step_tol=base.step_tol,
-                obj_tol=base.obj_tol, lss_threshold=base.lss_threshold,
-            )
+            work = Workspace(space=space, data_mean=train_mean, lam=lam)
             try:
-                f = estimator.fit(tr, train, cfg, space=space, theta0=warm)
+                if theta is None:
+                    theta = estimator.seed_theta(space, pts[~test_mask])
+                f = estimator.newton(work, theta, replace(base, lam=lam))
             except TriDensityError:
                 continue
-            warm = f.theta
+            theta = f.theta
             eta = np.minimum(space.quad_basis @ f.theta - f.log_norm_const, EXP_CAP)
             sq = float(space.quad_weights @ np.exp(2.0 * eta))
             test_vals = np.exp(

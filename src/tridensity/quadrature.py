@@ -123,14 +123,26 @@ def integrate_triangle(f, tri_coords, rule):
     return triangle_area(tri_coords) * float(rule.weights @ vals)
 
 
+def domain_nodes(tr, rule):
+    """Cartesian nodes and absolute weights of a rule on every triangle.
+
+    Returns ((N * n, 2) points, (N * n,) weights), triangle-major: rows
+    t*n .. (t+1)*n - 1 belong to triangle t.
+    """
+    n_q = len(rule.weights)
+    points = (rule.nodes @ tr.vertices[tr.triangles]).reshape(-1, 2)
+    weights = np.repeat(tr.areas, n_q) * np.tile(rule.weights, tr.n_triangles)
+    return points, weights
+
+
 def integrate_domain(f, tr, rule):
     """Integrate f over the whole triangulated domain."""
-    total = 0.0
-    for t in range(tr.n_triangles):
-        vals = np.asarray(f(rule.cartesian_nodes(tr.triangle_coords(t))), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteIntegrand(
-                f"integrand is not finite at a quadrature node of triangle {t}"
-            )
-        total += tr.areas[t] * float(rule.weights @ vals)
-    return total
+    points, weights = domain_nodes(tr, rule)
+    vals = np.asarray(f(points), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise NonFiniteIntegrand(
+            f"integrand is not finite at a quadrature node of triangle "
+            f"{bad[0] // len(rule.weights)}"
+        )
+    return float(weights @ vals)

@@ -21,7 +21,8 @@ from . import estimator, model_selection
 from .assets import load_bundled_mesh
 from .bernstein import SplineSpec
 from .errors import EnvelopeViolated, SingularBandwidth, TriDensityError
-from .quadrature import rule_9
+from .geometry import cell_grid
+from .quadrature import domain_nodes, rule_9
 
 # resolution of the grid used to normalize scenario densities and to
 # estimate the rejection-sampling envelope
@@ -55,7 +56,6 @@ class Scenario:
     density: object                # callable (n, 2) -> normalized values
     bbox: tuple                    # (xmin, xmax, ymin, ymax) sampling box
     density_max: float             # grid estimate of the density maximum
-    initial_domain: object = None  # optional finer mesh for the histogram seed
     components: tuple = ()
 
     def true_density(self, points):
@@ -120,15 +120,8 @@ def _domain_grid(tr, resolution):
     Cached per mesh object: benchmark replications rescore on identical
     grids, and meshes are immutable after construction.
     """
-    xmin, xmax, ymin, ymax = tr.bounding_box()
-    dx = (xmax - xmin) / resolution
-    dy = (ymax - ymin) / resolution
-    xs = xmin + dx * (np.arange(resolution) + 0.5)
-    ys = ymin + dy * (np.arange(resolution) + 0.5)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    centers = np.column_stack([gx.ravel(), gy.ravel()])
-    mask = tr.locate(centers) >= 0
-    return centers, mask, dx * dy
+    centers, cell = cell_grid(tr, resolution)
+    return centers, tr.locate(centers) >= 0, cell
 
 
 def _normalize_over_domain(raw, tr, resolution=_NORM_RESOLUTION):
@@ -176,7 +169,7 @@ def scenario_sim2():
     density = lambda pts: raw(pts) / norm
     return Scenario(
         name="sim2", domain=tr, density=density, bbox=tr.bounding_box(),
-        density_max=peak / norm, initial_domain=load_bundled_mesh("horseshoe_356"),
+        density_max=peak / norm,
     )
 
 
@@ -204,8 +197,7 @@ def scenario_sim3():
     density = lambda pts: raw(pts) / norm
     return Scenario(
         name="sim3", domain=tr, density=density, bbox=tr.bounding_box(),
-        density_max=peak / norm, initial_domain=base.initial_domain,
-        components=gauss + (skew,),
+        density_max=peak / norm, components=gauss + (skew,),
     )
 
 
@@ -343,18 +335,12 @@ def bandwidth_candidates(points, scales=(0.5, 1.0, 2.0), angles=(-math.pi / 8, 0
     return out
 
 
-def select_kde_bandwidth(points, domain, folds=10, seed=0, rule=None):
+def select_kde_bandwidth(points, domain, folds=10, seed=0):
     """Pick a bandwidth by the same held-out squared-error score used for
     the spline smoothing weight, over the candidate matrix grid."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rule = rule or rule_9()
     assign = model_selection.fold_assignments(len(pts), folds, seed)
-    quad_pts = np.concatenate(
-        [rule.cartesian_nodes(domain.triangle_coords(t)) for t in range(domain.n_triangles)]
-    )
-    quad_w = np.repeat(domain.areas, len(rule.weights)) * np.tile(
-        rule.weights, domain.n_triangles
-    )
+    quad_pts, quad_w = domain_nodes(domain, rule_9())
     best = None
     scores = []
     candidates = bandwidth_candidates(pts)
@@ -394,7 +380,7 @@ def kde_baseline(points, eval_points, bandwidth=None, domain=None, folds=10, see
 
 def replication_estimators(scenario, n, rep_seed, methods=("bpst", "kde"),
                            spec=None, lambda_grid=model_selection.DEFAULT_LAMBDA_GRID,
-                           folds=10, space=None, initial_tr=None):
+                           folds=10, space=None):
     """Sample one replication and fit every requested method on it.
 
     Returns a dict mapping method name to a fitted estimator (a DensityFit
@@ -414,9 +400,7 @@ def replication_estimators(scenario, n, rep_seed, methods=("bpst", "kde"),
                     folds=folds, seed=rep_seed, space=space,
                 )
                 cfg = estimator.FitConfig(spec=spec, lam=report.best_lambda)
-                out[method] = estimator.fit(
-                    scenario.domain, data, cfg, space=space, initial_tr=initial_tr
-                )
+                out[method] = estimator.fit(scenario.domain, data, cfg, space=space)
             elif method == "kde":
                 bw, _ = select_kde_bandwidth(
                     data, scenario.domain, folds=folds, seed=rep_seed
@@ -444,7 +428,7 @@ class MiseResult:
 
 def run_benchmark(scenario, n, reps, methods=("bpst", "kde"), seed=0,
                   spec=None, lambda_grid=model_selection.DEFAULT_LAMBDA_GRID,
-                  folds=10, mise_resolution=100, threads=1, use_initial_mesh=False):
+                  folds=10, mise_resolution=100, threads=1):
     """Sample, fit and score each method over independent replications.
 
     Replication r derives its seed as seed XOR r, so results are a pure
@@ -457,13 +441,12 @@ def run_benchmark(scenario, n, reps, methods=("bpst", "kde"), seed=0,
     scenario = get_scenario(scenario) if isinstance(scenario, str) else scenario
     spec = spec or SplineSpec(3, 1)
     space = estimator.ModelSpace(scenario.domain, spec) if "bpst" in methods else None
-    initial_tr = scenario.initial_domain if use_initial_mesh else None
 
     def run_rep(r):
         out = {}
         for method, est in replication_estimators(
             scenario, n, seed ^ r, methods, spec=spec, lambda_grid=lambda_grid,
-            folds=folds, space=space, initial_tr=initial_tr,
+            folds=folds, space=space,
         ).items():
             if isinstance(est, Exception):
                 out[method] = est

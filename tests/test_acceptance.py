@@ -6,6 +6,7 @@ line per criterion (the -v test line and an explicit PASS print).
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -232,10 +233,15 @@ def test_10_cv_analytic_anchor(rng):
     _report(10, "constant-density score equals -1/area")
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def _run_cli(args, cwd):
+    # cwd moves the child away from the checkout, so it gets an absolute src
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tridensity.cli", *args],
-        cwd=cwd, capture_output=True, text=True,
+        cwd=cwd, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
     return proc

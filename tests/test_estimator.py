@@ -7,7 +7,6 @@ from tridensity.errors import DidNotConverge, PointOutsideDomain, SingularSystem
 from tridensity.estimator import (
     FitConfig,
     ModelSpace,
-    eval_density,
     fit,
     gradient,
     hessian,
@@ -115,7 +114,7 @@ def test_init_theta_matches_dense_oracle(square2, rng):
     theta = init_theta(space, init)
     # direct dense ridge solve on the same design
     a = space.quad_basis
-    y = np.log(np.maximum(init.value_at(space.quad_points), 1e-8 / square2.area))
+    y = np.log(np.maximum(init.values[square2.locate(space.quad_points)], 1e-8 / square2.area))
     lhs = a.T @ a + 1e-4 * space.reduced_penalty
     oracle = np.linalg.solve(lhs, a.T @ y)
     assert np.abs(space.quad_basis @ (theta - oracle)).max() <= 1e-8
@@ -256,7 +255,7 @@ def test_did_not_converge_carries_iterate(unit32_space):
 
 def test_eval_density_flags_and_normalization(unit32_space):
     f = fit(unit32_space.tr, uniform_points(300), FitConfig(lam=1e-2), space=unit32_space)
-    vals, inside = eval_density(f, [[0.5, 0.5], [4.0, 4.0]])
+    vals, inside = f.density([[0.5, 0.5], [4.0, 4.0]])
     assert inside.tolist() == [True, False]
     assert vals[1] == 0.0
     assert np.all(vals >= 0.0)
@@ -302,9 +301,3 @@ def test_fitted_density_smooth_across_edges(unit32_space, rng):
             right = piece_value(tr, spec, f.gamma, tb, pts, orders)
             assert np.abs(left - right).max() <= 1e-8
 
-
-def test_fit_with_finer_initial_mesh(square2):
-    fine = grid_mesh(0, 1, 0, 1, 4, 4)
-    pts = uniform_points(60, seed=2)
-    f = fit(square2, pts, FitConfig(spec=SplineSpec(2, 1), lam=1e-2), initial_tr=fine)
-    assert f.converged

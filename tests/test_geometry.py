@@ -12,7 +12,6 @@ from tridensity.errors import (
     NonConforming,
 )
 from tridensity.geometry import (
-    GridIndex,
     Triangulation,
     barycentric,
     load_mesh,
@@ -126,16 +125,6 @@ def test_locate_then_barycentric_consistent(unit32, rng):
     assert np.all(idx >= 0)
     for p, t in zip(pts, idx):
         assert unit32.barycentric(int(t), p).min() >= -geometry.TOL_LOCATE
-
-
-def test_grid_index_matches_bruteforce(horseshoe, rng):
-    xmin, xmax, ymin, ymax = horseshoe.bounding_box()
-    pts = np.column_stack([
-        rng.uniform(xmin, xmax, 500),
-        rng.uniform(ymin, ymax, 500),
-    ])
-    index = GridIndex(horseshoe)
-    assert np.array_equal(horseshoe.locate(pts), horseshoe.locate(pts, index=index))
 
 
 def test_mesh_quality_equilateral():

@@ -3,7 +3,7 @@ import pytest
 
 from tridensity.bernstein import SplineSpec
 from tridensity.errors import AllFoldsFailed
-from tridensity.estimator import FitConfig, ModelSpace
+from tridensity.estimator import EXP_CAP, FitConfig, ModelSpace, fit
 from tridensity.model_selection import (
     DEFAULT_LAMBDA_GRID,
     cv_error,
@@ -59,6 +59,31 @@ def test_cv_error_deterministic(unit32, rng):
     a = cv_error(unit32, pts, spec, 1e-3, folds=5, seed=3, space=space)
     b = cv_error(unit32, pts, spec, 1e-3, folds=5, seed=3, space=space)
     assert a == b
+
+
+@pytest.mark.parametrize("n", [100, 300])  # seeds from initial_lss, initial_histogram
+def test_shared_design_matches_per_fold_fits(unit32, rng, n):
+    """CV on the shared design matrix gives exactly the errors of refitting
+    each fold's training points with fit, warm-started along the grid."""
+    pts = rng.random((n, 2))
+    spec = SplineSpec(3, 1)
+    space = ModelSpace(unit32, spec)
+    grid = [1e-2, 1e-5, 1e-3]
+    report = select_lambda(unit32, pts, spec, grid, folds=5, seed=4, space=space)
+    table = np.full((5, len(grid)), np.nan)
+    for k in range(5):
+        test = report.fold_assignments == k
+        bq_test = space.data_basis(pts[test])
+        warm = None
+        for gi in np.argsort(grid, kind="stable"):
+            f = fit(unit32, pts[~test], FitConfig(spec=spec, lam=grid[gi]),
+                    space=space, theta0=warm)
+            warm = f.theta
+            eta = np.minimum(space.quad_basis @ f.theta - f.log_norm_const, EXP_CAP)
+            test_vals = np.exp(np.minimum(bq_test @ f.theta - f.log_norm_const, EXP_CAP))
+            table[k, gi] = (float(space.quad_weights @ np.exp(2.0 * eta))
+                            - 2.0 * float(np.mean(test_vals)))
+    assert report.cv_errors == [float(e) for e in table.mean(axis=0)]
 
 
 def test_full_grid_on_benchmark_data():

@@ -7,6 +7,7 @@ from tridensity.errors import NonFiniteIntegrand
 from tridensity.geometry import Triangulation, barycentric
 from tridensity.quadrature import (
     conical_rule,
+    domain_nodes,
     integrate_domain,
     integrate_triangle,
     rule_9,
@@ -89,6 +90,15 @@ def test_domain_integration_and_additivity(square2):
         for t in range(square2.n_triangles)
     )
     assert whole == pytest.approx(parts, rel=1e-14)
+    # the batched node builder is the per-triangle loop, bit for bit
+    from tridensity.assets import BUNDLED_MESHES, load_bundled_mesh
+
+    for tr in [square2] + [load_bundled_mesh(name) for name in BUNDLED_MESHES]:
+        for rule in (rule_9(), rule_12()):
+            points, weights = domain_nodes(tr, rule)
+            loop = [rule.cartesian_nodes(tr.triangle_coords(t)) for t in range(tr.n_triangles)]
+            assert np.array_equal(points, np.concatenate(loop))
+            assert np.array_equal(weights, np.concatenate([a * rule.weights for a in tr.areas]))
 
 
 def test_nonfinite_integrand(square2):

@@ -258,15 +258,6 @@ def test_run_benchmark_reproducible_across_threads():
         assert ra.per_replication == rb.per_replication
 
 
-def test_run_benchmark_with_finer_initial_mesh():
-    res = run_benchmark(
-        "sim2", 120, 1, methods=("bpst",), seed=6, folds=5,
-        lambda_grid=[1e-3, 1e-2], mise_resolution=60, use_initial_mesh=True,
-    )
-    assert res[0].n_failed == 0
-    assert np.isfinite(res[0].mean)
-
-
 def test_replication_estimators_types():
     scen = scenario_sim1()
     est = replication_estimators(scen, 60, 12, folds=5)
