@@ -65,6 +65,11 @@ class CvReport:
     seed: int
     folds: int
     failed_folds: list = field(default_factory=list)  # fold ids excluded, per lambda
+    # (lambda index, fold id, message) of each failed fit, by lambda then fold
+    fold_failures: list = field(default_factory=list)
+    # best_lambda is the smallest or largest grid value, so the grid may
+    # not bracket the minimum
+    lambda_at_grid_edge: bool = False
 
 
 def pick_best(lambda_grid, cv_errors):
@@ -95,9 +100,11 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
     mean is the mean of its training rows. Within each fold the first fit
     starts from estimator.seed_theta and later ones warm-start along the
     ascending grid; both only choose Newton's starting point. Ties are
-    broken toward the larger (smoother) weight. A grid cell where every
-    fold failed reports +inf and is never selected; if the whole grid is
-    +inf, AllFoldsFailed is raised.
+    broken toward the larger (smoother) weight. The report lists the cause
+    of every failed fit and flags a best weight on the edge of the grid. A
+    grid cell where every fold failed reports +inf and is never selected;
+    if the whole grid is +inf, AllFoldsFailed is raised, naming the first
+    cause.
     """
     lambda_grid = [float(l) for l in lambda_grid]
     if not lambda_grid:
@@ -113,11 +120,13 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
     order = np.argsort(lambda_grid, kind="stable")
 
     def run_fold(k):
-        """Fold errors for every lambda, NaN where the fit failed."""
+        """Fold errors for every lambda, NaN where the fit failed, and the
+        (lambda index, message) of each failure."""
         test_mask = assign == k
         train_mean = data_basis[~test_mask].mean(axis=0)
         bq_test = data_basis[test_mask]
         errors = np.full(len(lambda_grid), np.nan)
+        failures = []
         theta = None
         for gi in order:
             lam = lambda_grid[gi]
@@ -126,7 +135,8 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
                 if theta is None:
                     theta = estimator.seed_theta(space, pts[~test_mask])
                 f = estimator.newton(work, theta, replace(base, lam=lam))
-            except TriDensityError:
+            except TriDensityError as exc:
+                failures.append((int(gi), str(exc)))
                 continue
             theta = f.theta
             eta = np.minimum(space.quad_basis @ f.theta - f.log_norm_const, EXP_CAP)
@@ -135,14 +145,17 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
                 np.minimum(bq_test @ f.theta - f.log_norm_const, EXP_CAP)
             )
             errors[gi] = sq - 2.0 * float(np.mean(test_vals))
-        return errors
+        return errors, failures
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             per_fold = list(pool.map(run_fold, range(folds)))
     else:
         per_fold = [run_fold(k) for k in range(folds)]
-    table = np.stack(per_fold)  # (folds, n_lambda)
+    table = np.stack([errors for errors, _ in per_fold])  # (folds, n_lambda)
+    fold_failures = sorted(
+        (gi, k, msg) for k, (_, failures) in enumerate(per_fold) for gi, msg in failures
+    )
 
     cv_errors = []
     failed = []
@@ -154,7 +167,11 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
 
     finite = [e for e in cv_errors if np.isfinite(e)]
     if not finite:
-        raise AllFoldsFailed("every fold failed for every lambda in the grid")
+        message = "every fold failed for every lambda in the grid"
+        if fold_failures:
+            gi, k, cause = fold_failures[0]
+            message += f"; first: lambda {lambda_grid[gi]!r}, fold {k}: {cause}"
+        raise AllFoldsFailed(message)
     best_idx = pick_best(lambda_grid, cv_errors)
     return CvReport(
         lambda_grid=lambda_grid,
@@ -164,4 +181,6 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
         seed=seed,
         folds=folds,
         failed_folds=failed,
+        fold_failures=fold_failures,
+        lambda_at_grid_edge=lambda_grid[best_idx] in (min(lambda_grid), max(lambda_grid)),
     )

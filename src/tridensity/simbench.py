@@ -275,6 +275,19 @@ def mise(estimate, scenario, resolution=100):
     return float(np.sum((np.asarray(est) - truth) ** 2) * cell)
 
 
+# Entries per temporary (512 KB of float64) in the blocked kernel sums: a
+# few such blocks stay in a 2 MB L2 cache. Measured on a 2-core Xeon at
+# n=2000, the bandwidth CV took 0.55 s with 2**16 and 0.95 s with 2**19.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(n_rows, n_cols):
+    """Row slices covering n_rows, each block about _BLOCK_ENTRIES entries
+    of an n_cols-column matrix."""
+    step = max(1, _BLOCK_ENTRIES // max(1, n_cols))
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
 class KernelDensity:
     """Bivariate Gaussian kernel density with a full bandwidth matrix.
 
@@ -296,18 +309,20 @@ class KernelDensity:
     def kernel_matrix(self, eval_points):
         """K[i, j] = kernel centered at data point j evaluated at point i."""
         pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
-        out = np.empty((len(pts), len(self.points)))
-        chunk = max(1, 2_000_000 // max(1, len(self.points)))
-        for lo in range(0, len(pts), chunk):
-            d0 = pts[lo:lo + chunk, None, 0] - self.points[None, :, 0]
-            d1 = pts[lo:lo + chunk, None, 1] - self.points[None, :, 1]
-            q = (self._inv[0, 0] * d0 ** 2 + 2.0 * self._inv[0, 1] * d0 * d1
-                 + self._inv[1, 1] * d1 ** 2)
-            out[lo:lo + chunk] = self._norm * np.exp(-0.5 * q)
-        return out
+        d0 = pts[:, None, 0] - self.points[None, :, 0]
+        d1 = pts[:, None, 1] - self.points[None, :, 1]
+        q = (self._inv[0, 0] * d0 ** 2 + 2.0 * self._inv[0, 1] * d0 * d1
+             + self._inv[1, 1] * d1 ** 2)
+        return self._norm * np.exp(-0.5 * q)
 
     def __call__(self, eval_points):
-        return self.kernel_matrix(eval_points).mean(axis=1)
+        """Density values: row means of the kernel matrix, one block of rows
+        at a time, so the full matrix is never held."""
+        pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
+        out = np.empty(len(pts))
+        for rows in _row_blocks(len(pts), len(self.points)):
+            out[rows] = self.kernel_matrix(pts[rows]).mean(axis=1)
+        return out
 
 
 def normal_reference_bandwidth(points):
@@ -319,8 +334,18 @@ def normal_reference_bandwidth(points):
     return len(pts) ** (-1.0 / 3.0) * cov
 
 
-def bandwidth_candidates(points, scales=(0.5, 1.0, 2.0), angles=(-math.pi / 8, 0.0, math.pi / 8)):
-    """Diagonal-plus-rotation grid around the normal-reference bandwidth."""
+_SCALES = (0.5, 1.0, 2.0)
+_ANGLES = (-math.pi / 8, 0.0, math.pi / 8)
+
+
+def _rotations(points, scales=_SCALES, angles=_ANGLES):
+    """The candidate grid, one entry per angle: (basis, var0, var1).
+
+    basis is the angle's rotation of the eigenvectors of the
+    normal-reference bandwidth; var0 and var1 hold its eigenvalues times
+    each scale. Candidate (i, j) of the entry is
+    basis @ diag(var0[i], var1[j]) @ basis.T.
+    """
     href = normal_reference_bandwidth(points)
     evals, evecs = np.linalg.eigh(href)
     if evals.min() <= 0:
@@ -328,40 +353,80 @@ def bandwidth_candidates(points, scales=(0.5, 1.0, 2.0), angles=(-math.pi / 8, 0
     out = []
     for phi in angles:
         rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
-        basis = rot @ evecs
-        for s1 in scales:
-            for s2 in scales:
-                out.append(basis @ np.diag([s1 * evals[0], s2 * evals[1]]) @ basis.T)
+        out.append((rot @ evecs, [s * evals[0] for s in scales], [s * evals[1] for s in scales]))
     return out
 
 
+def bandwidth_candidates(points, scales=_SCALES, angles=_ANGLES):
+    """Diagonal-plus-rotation grid around the normal-reference bandwidth.
+
+    Each angle rotates the eigenvectors of the normal-reference bandwidth,
+    and each pair of scales multiplies its two eigenvalues: with the
+    defaults, 3 angles x 3 x 3 scales = 27 candidates, ordered by angle,
+    then the first scale, then the second.
+    """
+    return [basis @ np.diag([a, b]) @ basis.T
+            for basis, var0, var1 in _rotations(points, scales, angles)
+            for a in var0 for b in var1]
+
+
 def select_kde_bandwidth(points, domain, folds=10, seed=0):
-    """Pick a bandwidth by the same held-out squared-error score used for
-    the spline smoothing weight, over the candidate matrix grid."""
+    """Pick a bandwidth from bandwidth_candidates by k-fold cross-validation.
+
+    The held-out score of a candidate H is the one select_lambda uses for
+    the spline smoothing weight, averaged over the folds k:
+
+        integral f_k^2  -  (2 / |fold k|) sum_{x in fold k} f_k(x),
+
+    where f_k is the kernel density with bandwidth H on the points outside
+    fold k and the integral uses the 9-point rule on the domain mesh.
+
+    The candidates of one rotation are basis @ diag(a, b) @ basis.T, so
+    their kernel factors as exp(-u^2 / 2a) exp(-v^2 / 2b) times a constant,
+    with (u, v) the offset between two points in that basis. For each
+    rotation and each block of rows (the quadrature nodes stacked on the
+    data points) u^2 and v^2 are formed once, then 3 + 3 exponentials and
+    the 9 products; one matrix product with a one-hot fold matrix gives
+    every fold sum and the row total. No full kernel matrix is built.
+
+    Returns the first candidate with the smallest score and a dict with
+    the "scores" and "candidates", both in bandwidth_candidates order.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    assign = model_selection.fold_assignments(len(pts), folds, seed)
+    n = len(pts)
+    assign = model_selection.fold_assignments(n, folds, seed)
     quad_pts, quad_w = domain_nodes(domain, rule_9())
-    best = None
+    n_quad = len(quad_pts)
+    rows = np.concatenate([quad_pts, pts])
+    # columns 0..folds-1 select each fold's points; the last one selects all
+    onehot = np.zeros((n, folds + 1))
+    onehot[np.arange(n), assign] = 1.0
+    onehot[:, folds] = 1.0
+    sizes = np.bincount(assign, minlength=folds)
+    n_train = n - sizes
     scores = []
+    for basis, var0, var1 in _rotations(pts):
+        proj_rows = rows @ basis
+        proj_pts = pts @ basis
+        sums = np.empty((len(var0), len(var1), len(rows), folds + 1))
+        for block in _row_blocks(len(rows), n):
+            u2 = np.square(np.subtract.outer(proj_rows[block, 0], proj_pts[:, 0]))
+            v2 = np.square(np.subtract.outer(proj_rows[block, 1], proj_pts[:, 1]))
+            ev = [np.exp(v2 * (-0.5 / b)) for b in var1]
+            for i, a in enumerate(var0):
+                eu = np.exp(u2 * (-0.5 / a))
+                for j, e in enumerate(ev):
+                    np.matmul(eu * e, onehot, out=sums[i, j, block])
+        # unnormalized density of the training points of fold k at each row
+        held = (sums[..., folds, None] - sums[..., :folds]) / n_train
+        sq = np.einsum("r,ijrk->ijk", quad_w, held[:, :, :n_quad] ** 2)
+        at_test = held[:, :, n_quad + np.arange(n), assign]
+        mean_test = (at_test @ onehot[:, :folds]) / sizes
+        norm = 1.0 / (2.0 * math.pi * np.sqrt(np.outer(var0, var1)))
+        err = norm[..., None] ** 2 * sq - 2.0 * norm[..., None] * mean_test
+        scores.extend(err.mean(axis=-1).ravel().tolist())
     candidates = bandwidth_candidates(pts)
-    for h in candidates:
-        kde = KernelDensity(pts, h)
-        kq = kde.kernel_matrix(quad_pts)    # (n_quad, n)
-        kd = kde.kernel_matrix(pts)         # (n, n)
-        kq_total = kq.sum(axis=1)
-        kd_total = kd.sum(axis=1)
-        err = 0.0
-        for k in range(folds):
-            test = assign == k
-            n_train = int((~test).sum())
-            f_quad = (kq_total - kq[:, test].sum(axis=1)) / n_train
-            f_test = (kd_total[test] - kd[np.ix_(test, test)].sum(axis=1)) / n_train
-            err += float(quad_w @ f_quad ** 2) - 2.0 * float(f_test.mean())
-        err /= folds
-        scores.append(err)
-        if best is None or err < best[0]:
-            best = (err, h)
-    return best[1], {"scores": scores, "candidates": candidates}
+    return candidates[int(np.argmin(scores))], {"scores": scores, "candidates": candidates}
 
 
 def kde_baseline(points, eval_points, bandwidth=None, domain=None, folds=10, seed=0):

@@ -132,8 +132,41 @@ def test_all_folds_failed(unit32, rng):
     pts = rng.random((40, 2))
     cfg = FitConfig(spec=SplineSpec(3, 1), max_iters=1,
                     grad_tol=1e-15, obj_tol=1e-18, step_tol=1e-18)
-    with pytest.raises(AllFoldsFailed):
+    with pytest.raises(AllFoldsFailed, match="optimizer did not converge"):
         select_lambda(unit32, pts, SplineSpec(3, 1), [1e-3], folds=4, seed=0, config=cfg)
+
+
+def test_fold_failures_keep_each_cause(unit32, rng):
+    pts = rng.random((40, 2))
+    spec = SplineSpec(3, 1)
+    grid = [1e-6, 1e-3, 1.0, 1e3, 1e6]
+    # with max_iters=1 every fit stops before converging and the whole grid
+    # fails; three iterations leave some fits converged and some not
+    report = select_lambda(unit32, pts, spec, grid, folds=4, seed=0,
+                           config=FitConfig(spec=spec, max_iters=3))
+    pairs = [(gi, k) for gi, k, _ in report.fold_failures]
+    assert pairs == [(gi, k) for gi, ks in enumerate(report.failed_folds) for k in ks]
+    assert 0 < len(pairs) < len(grid) * 4
+    assert {msg for _, _, msg in report.fold_failures} == {"optimizer did not converge"}
+    clean = select_lambda(unit32, pts, spec, grid, folds=4, seed=0)
+    assert clean.fold_failures == []
+
+
+def test_lambda_at_grid_edge():
+    from tridensity.simbench import scenario_sim1, sample
+
+    scen = scenario_sim1()
+    pts = sample(scen, 200, 13)
+    spec = SplineSpec(3, 1)
+    space = ModelSpace(scen.domain, spec)
+    one_sided = select_lambda(scen.domain, pts, spec, [1.0, 1e-1, 1e-2],
+                              folds=5, seed=13, space=space)
+    assert one_sided.best_lambda == 1e-2
+    assert one_sided.lambda_at_grid_edge
+    bracketed = select_lambda(scen.domain, pts, spec, [1e-6, 1e-5, 1e-4],
+                              folds=5, seed=13, space=space)
+    assert bracketed.best_lambda == 1e-5
+    assert not bracketed.lambda_at_grid_edge
 
 
 def test_threads_do_not_change_results(unit32, rng):

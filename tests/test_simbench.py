@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from tridensity import model_selection
 from tridensity.errors import SingularBandwidth
+from tridensity.quadrature import domain_nodes, rule_9
 from tridensity.simbench import (
     KernelDensity,
     Scenario,
     _domain_grid,
+    _row_blocks,
     bandwidth_candidates,
     gaussian_pdf,
     get_scenario,
@@ -231,6 +234,73 @@ def test_kde_baseline_wrapper():
         kde_baseline(pts, grid)  # no bandwidth and no domain
 
 
+def per_candidate_kde_cv(points, domain, folds=10, seed=0):
+    """Reference bandwidth CV: one full kernel matrix per candidate, fold
+    sums by fancy indexing."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    assign = model_selection.fold_assignments(len(pts), folds, seed)
+    quad_pts, quad_w = domain_nodes(domain, rule_9())
+    best = None
+    scores = []
+    candidates = bandwidth_candidates(pts)
+    for h in candidates:
+        kde = KernelDensity(pts, h)
+        kq = kde.kernel_matrix(quad_pts)    # (n_quad, n)
+        kd = kde.kernel_matrix(pts)         # (n, n)
+        kq_total = kq.sum(axis=1)
+        kd_total = kd.sum(axis=1)
+        err = 0.0
+        for k in range(folds):
+            test = assign == k
+            n_train = int((~test).sum())
+            f_quad = (kq_total - kq[:, test].sum(axis=1)) / n_train
+            f_test = (kd_total[test] - kd[np.ix_(test, test)].sum(axis=1)) / n_train
+            err += float(quad_w @ f_quad ** 2) - 2.0 * float(f_test.mean())
+        err /= folds
+        scores.append(err)
+        if best is None or err < best[0]:
+            best = (err, h)
+    return best[1], {"scores": scores, "candidates": candidates}
+
+
+@pytest.mark.parametrize("name, n, folds, seed", [
+    ("sim1", 203, 10, 1),   # n not divisible by the fold count
+    ("sim2", 120, 2, 2),
+    ("sim3", 300, 5, 3),
+    ("sim1", 10, 10, 4),    # n == folds
+    ("sim3", 700, 10, 5),   # many row blocks, partial last block
+])
+def test_select_kde_bandwidth_matches_per_candidate_oracle(name, n, folds, seed):
+    scen = get_scenario(name)
+    pts = sample(scen, n, seed)
+    want_h, want = per_candidate_kde_cv(pts, scen.domain, folds=folds, seed=seed)
+    got_h, got = select_kde_bandwidth(pts, scen.domain, folds=folds, seed=seed)
+    assert np.array_equal(got_h, want_h)
+    assert len(got["candidates"]) == len(want["candidates"]) == 27
+    for a, b in zip(got["candidates"], want["candidates"]):
+        assert np.array_equal(a, b)
+    np.testing.assert_allclose(got["scores"], want["scores"], rtol=1e-12, atol=0)
+    if n == 700:
+        rows = len(domain_nodes(scen.domain, rule_9())[0]) + n
+        blocks = _row_blocks(rows, n)
+        assert len(blocks) > 1 and rows % blocks[0].stop != 0
+
+
+def test_kde_call_is_blocked_row_mean():
+    scen = scenario_sim1()
+    pts = sample(scen, 150, seed=8)
+    kde = KernelDensity(pts, normal_reference_bandwidth(pts))
+    evals = sample(scen, 1001, seed=9)
+    blocks = _row_blocks(len(evals), len(pts))
+    assert len(blocks) > 1 and len(evals) % blocks[0].stop != 0
+    assert np.array_equal(kde(evals), kde.kernel_matrix(evals).mean(axis=1))
+    # mise of the blocked evaluation equals mise of the full kernel matrix
+    centers, mask, cell = _domain_grid(scen.domain, 100)
+    est = kde.kernel_matrix(centers[mask]).mean(axis=1)
+    full = float(np.sum((est - scen.density(centers[mask])) ** 2) * cell)
+    assert mise(kde, scen, 100) == full
+
+
 def test_select_kde_bandwidth_deterministic():
     scen = scenario_sim1()
     pts = sample(scen, 150, seed=6)
@@ -256,6 +326,14 @@ def test_run_benchmark_reproducible_across_threads():
     b = run_benchmark("sim1", 60, 3, seed=10, folds=5, mise_resolution=60, threads=8)
     for ra, rb in zip(a, b):
         assert ra.per_replication == rb.per_replication
+
+
+def test_kde_benchmark_reproducible_across_threads():
+    kw = dict(methods=("kde",), seed=11, folds=5, mise_resolution=60)
+    a = run_benchmark("sim2", 400, 3, threads=1, **kw)
+    b = run_benchmark("sim2", 400, 3, threads=2, **kw)
+    assert a[0].n_failed == 0
+    assert a[0].per_replication == b[0].per_replication
 
 
 def test_replication_estimators_types():
