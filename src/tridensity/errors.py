@@ -52,7 +52,10 @@ class DidNotConverge(TriDensityError):
     """The optimizer hit its iteration limit or stalled.
 
     Carries ``fit``, the last iterate packaged as a DensityFit with its
-    objective trace, so callers can inspect or reuse it.
+    objective trace, so callers can inspect or reuse it. The message
+    starts with "optimizer did not converge" and, when raised by the
+    fitter, goes on to name the cause, the iterations used and the final
+    max|gradient|.
     """
 
     def __init__(self, fit, message="optimizer did not converge"):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import blas
 
 from . import bernstein
 from .bernstein import SplineSpec, evaluation_matrix
@@ -149,9 +150,10 @@ def hessian(theta, work):
     space = work.space
     eta = np.minimum(space.quad_basis @ theta, EXP_CAP)
     w_exp = space.quad_weights * np.exp(eta)
-    h = (space.quad_basis * w_exp[:, None]).T @ space.quad_basis
-    h += 2.0 * work.lam * space.reduced_penalty
-    return (h + h.T) / 2.0
+    s = np.sqrt(w_exp)[:, None] * space.quad_basis
+    # upper triangle of s^T s + 2 lam P; s.T is Fortran-ordered, so no copy
+    h = blas.dsyrk(1.0, s.T, c=2.0 * work.lam * space.reduced_penalty, beta=1.0)
+    return np.triu(h) + np.triu(h, 1).T
 
 
 @dataclass
@@ -294,8 +296,7 @@ def fit(tr, points, config=None, space=None, theta0=None):
 
     Builds the workspace of the points, seeds with seed_theta unless
     theta0 is given, and runs newton. Raises DidNotConverge (carrying the
-    last iterate and objective trace) if the iteration limit is reached
-    first.
+    last iterate and objective trace) if newton stops before converging.
     """
     config = config or FitConfig()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -316,8 +317,9 @@ def newton(work, theta0, config):
     factorization failure falls back to a plain gradient step for that
     iteration. The penalty weight is work.lam; config supplies the
     iteration limit and tolerances. Raises DidNotConverge (carrying the
-    last iterate and objective trace) if the iteration limit is reached
-    first.
+    last iterate and objective trace) if the iteration limit is reached or
+    the line search stalls first; its message names which, with the
+    iterations used and the final max|gradient|.
     """
     space = work.space
     theta = np.asarray(theta0, dtype=float).copy()
@@ -329,6 +331,7 @@ def newton(work, theta0, config):
     trace = [obj]
     converged = False
     iterations = 0
+    cause = f"iteration limit (max_iters={config.max_iters}) reached"
 
     for iterations in range(1, config.max_iters + 1):
         grad = gradient(theta, work)
@@ -355,7 +358,8 @@ def newton(work, theta0, config):
                 break
             alpha *= ARMIJO_SHRINK
         else:
-            break  # line search stalled at machine precision
+            cause = "line search stalled"  # at machine precision
+            break
         step = alpha * float(np.abs(direction).max())
         decrease = obj - new_obj
         theta, obj = new_theta, new_obj
@@ -363,8 +367,9 @@ def newton(work, theta0, config):
         if decrease <= config.obj_tol or step <= config.step_tol:
             converged = True
             break
-    if not converged and np.abs(gradient(theta, work)).max() <= config.grad_tol:
-        converged = True
+    if not converged:
+        grad_max = float(np.abs(gradient(theta, work)).max())
+        converged = grad_max <= config.grad_tol
 
     gamma = space.gamma(theta)
     result = DensityFit(
@@ -378,5 +383,9 @@ def newton(work, theta0, config):
         iterations=iterations,
     )
     if not converged:
-        raise DidNotConverge(result)
+        raise DidNotConverge(
+            result,
+            f"optimizer did not converge: {cause} after {iterations} iterations, "
+            f"max|gradient| {grad_max:.3e}",
+        )
     return result

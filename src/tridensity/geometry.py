@@ -19,6 +19,18 @@ from .errors import DegenerateTriangle, IndexOutOfRange, MeshError, NonConformin
 # lowest-indexed triangle.
 TOL_LOCATE = 1e-10
 
+# Pad of each triangle's bounding box in the point-location grid, relative
+# to the domain extent. The points whose barycentric coordinates are all
+# >= -TOL_LOCATE form the triangle scaled by 1 + 3 * TOL_LOCATE about its
+# centroid, whose box exceeds the triangle's by at most 3 * TOL_LOCATE times
+# its diameter; the pad leaves three orders of magnitude above that.
+_BUCKET_PAD = 1e4 * TOL_LOCATE
+
+# About this many grid cells per triangle; locate works in chunks of
+# _LOCATE_CHUNK points to bound its temporaries.
+_CELLS_PER_TRIANGLE = 8
+_LOCATE_CHUNK = 5000
+
 
 @dataclass(frozen=True)
 class MeshQuality:
@@ -101,6 +113,7 @@ class Triangulation:
         for t, tri in enumerate(self.triangles):
             for v in tri:
                 self._vertex_to_triangles.setdefault(int(v), []).append(t)
+        self._buckets = None  # point-location grid, built by the first locate
 
     @property
     def n_triangles(self):
@@ -217,33 +230,101 @@ class Triangulation:
         """
         return barycentric(self._corners[t], points)
 
-    def locate(self, points, tol=TOL_LOCATE):
+    def locate(self, points):
         """Find the triangle containing each point.
 
-        Scans triangles in index order and returns the first whose
-        barycentric coordinates are all >= -tol, so points on shared edges
-        resolve to the lowest-indexed adjacent triangle. Returns -1 for
-        points outside the domain. A single (2,) point yields an int or
-        None; an (n, 2) array yields an int64 array.
+        Returns the lowest-indexed triangle whose barycentric coordinates
+        are all >= -TOL_LOCATE, so points on shared edges resolve to the
+        lowest-indexed adjacent triangle. Returns -1 for points outside the
+        domain and for non-finite points. A single (2,) point yields an int
+        or None; an (n, 2) array yields an int64 array.
+
+        Each point is tested only against the candidates of its cell in a
+        bucket grid over the bounding box, built on the first call; the
+        candidates are in ascending index order, so the first one that
+        passes is the lowest-indexed containing triangle.
         """
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
+        if self._buckets is None:
+            # a concurrent first call builds an identical grid; either wins
+            self._buckets = _BucketGrid(self)
+        grid = self._buckets
         found = np.full(len(pts), -1, dtype=np.int64)
-        chunk = max(1, int(2_000_000 // max(1, self.n_triangles)))
-        for lo in range(0, len(pts), chunk):
-            p = pts[lo:lo + chunk]
-            rel = p[None, :, :] - self._v3[:, None, :]  # (N, n, 2)
-            b1 = self._inv_maps[:, None, 0, 0] * rel[:, :, 0] + self._inv_maps[:, None, 0, 1] * rel[:, :, 1]
-            b2 = self._inv_maps[:, None, 1, 0] * rel[:, :, 0] + self._inv_maps[:, None, 1, 1] * rel[:, :, 1]
+        for lo in range(0, len(pts), _LOCATE_CHUNK):
+            p = pts[lo:lo + _LOCATE_CHUNK]
+            rows, cells = grid.cells_of(p)
+            q = p[rows]
+            inv = grid.inv_maps[cells]  # (m, K, 2, 2)
+            v3 = grid.v3[cells]  # (m, K, 2)
+            r0 = q[:, 0, None] - v3[:, :, 0]
+            r1 = q[:, 1, None] - v3[:, :, 1]
+            b1 = inv[:, :, 0, 0] * r0 + inv[:, :, 0, 1] * r1
+            b2 = inv[:, :, 1, 0] * r0 + inv[:, :, 1, 1] * r1
             b3 = 1.0 - b1 - b2
-            inside = (b1 >= -tol) & (b2 >= -tol) & (b3 >= -tol)  # (N, n)
-            any_hit = inside.any(axis=0)
-            first = inside.argmax(axis=0)  # first True = lowest triangle index
-            found[lo:lo + chunk] = np.where(any_hit, first, -1)
+            inside = (b1 >= -TOL_LOCATE) & (b2 >= -TOL_LOCATE) & (b3 >= -TOL_LOCATE)
+            first = inside.argmax(axis=1)  # first True = lowest triangle index
+            hit = inside[np.arange(len(rows)), first]
+            found[lo + rows[hit]] = grid.triangles[cells[hit], first[hit]]
         if single:
             return None if found[0] < 0 else int(found[0])
         return found
+
+
+class _BucketGrid:
+    """Uniform grid over a mesh's bounding box listing, per cell, every
+    triangle whose padded bounding box overlaps the cell, in ascending
+    index order.
+
+    The lists are stored as a (cells, K) table padded with -1, together
+    with each candidate's inverse affine map and third vertex; padding
+    slots carry NaN maps, so no point ever passes them.
+    """
+
+    def __init__(self, tr):
+        xmin, xmax, ymin, ymax = tr.bounding_box()
+        pad = _BUCKET_PAD * max(xmax - xmin, ymax - ymin)
+        self.side = max(1, int(math.sqrt(_CELLS_PER_TRIANGLE * tr.n_triangles)))
+        self.origin = np.array([xmin - pad, ymin - pad])
+        self.cell_size = np.array([xmax - xmin + 2 * pad, ymax - ymin + 2 * pad]) / self.side
+
+        # cell ranges of the padded triangle boxes, with the same floor as
+        # cells_of so that a point inside a box lands in one of its cells
+        corners = tr._corners
+        lo = self._floor(corners.min(axis=1) - pad).clip(0, self.side - 1).astype(np.int64)
+        hi = self._floor(corners.max(axis=1) + pad).clip(0, self.side - 1).astype(np.int64)
+        span = hi - lo + 1  # (N, 2) cells per axis
+        counts = span[:, 0] * span[:, 1]
+        tri = np.repeat(np.arange(tr.n_triangles), counts)
+        k = np.arange(len(tri)) - np.repeat(np.cumsum(counts) - counts, counts)
+        ix = lo[tri, 0] + k // span[tri, 1]
+        iy = lo[tri, 1] + k % span[tri, 1]
+        cell = ix * self.side + iy
+        order = np.argsort(cell, kind="stable")  # tri stays ascending per cell
+        cell, tri = cell[order], tri[order]
+        per_cell = np.bincount(cell, minlength=self.side * self.side)
+        slot = np.arange(len(cell)) - (np.cumsum(per_cell) - per_cell)[cell]
+
+        width = int(per_cell.max())
+        self.triangles = np.full((self.side * self.side, width), -1, dtype=np.int64)
+        self.triangles[cell, slot] = tri
+        self.inv_maps = np.full((self.side * self.side, width, 2, 2), np.nan)
+        self.inv_maps[cell, slot] = tr._inv_maps[tri]
+        self.v3 = np.zeros((self.side * self.side, width, 2))
+        self.v3[cell, slot] = tr._v3[tri]
+
+    def _floor(self, xy):
+        return np.floor((xy - self.origin) / self.cell_size)
+
+    def cells_of(self, points):
+        """Rows of points inside the grid (finite ones only) and their
+        flat cell indices."""
+        f = self._floor(points)
+        ok = np.all((f >= 0) & (f < self.side), axis=1)  # NaN compares False
+        rows = np.nonzero(ok)[0]
+        ij = f[rows].astype(np.int64)
+        return rows, ij[:, 0] * self.side + ij[:, 1]
 
 
 def cell_grid(tr, resolution):

@@ -82,14 +82,14 @@ def pick_best(lambda_grid, cv_errors):
 
 
 def cv_error(tr, points, spec, lam, folds=10, seed=0, space=None, config=None):
-    """Cross-validation error of a single smoothing weight."""
+    """Cross-validation error of a single smoothing weight.
+
+    Raises AllFoldsFailed (from select_lambda) if every fold fails.
+    """
     report = select_lambda(
         tr, points, spec, [lam], folds=folds, seed=seed, space=space, config=config
     )
-    err = report.cv_errors[0]
-    if not np.isfinite(err):
-        raise AllFoldsFailed(f"all {folds} folds failed at lam={lam}")
-    return err
+    return report.cv_errors[0]
 
 
 def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,

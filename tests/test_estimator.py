@@ -251,6 +251,31 @@ def test_did_not_converge_carries_iterate(unit32_space):
     assert not partial.converged
     assert partial.iterations == 1
     assert len(partial.objective_trace) == 2
+    assert str(err.value).startswith(
+        "optimizer did not converge: iteration limit (max_iters=1) reached after 1 iterations"
+    )
+
+
+def test_did_not_converge_names_stalled_line_search(unit32_space, monkeypatch):
+    real_objective = estimator.objective
+    calls = []
+
+    def first_finite(theta, work):
+        # every trial step after the starting value is rejected
+        calls.append(1)
+        return real_objective(theta, work) if len(calls) == 1 else np.inf
+
+    monkeypatch.setattr(estimator, "objective", first_finite)
+    with pytest.raises(DidNotConverge) as err:
+        fit(unit32_space.tr, uniform_points(100), FitConfig(lam=1e-3), space=unit32_space)
+    partial = err.value.fit
+    assert len(partial.objective_trace) == 1
+    work = make_workspace(unit32_space, uniform_points(100), 1e-3)
+    grad_max = np.abs(gradient(partial.theta, work)).max()
+    assert str(err.value) == (
+        "optimizer did not converge: line search stalled after 1 iterations, "
+        f"max|gradient| {grad_max:.3e}"
+    )
 
 
 def test_eval_density_flags_and_normalization(unit32_space):

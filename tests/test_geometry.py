@@ -127,6 +127,93 @@ def test_locate_then_barycentric_consistent(unit32, rng):
         assert unit32.barycentric(int(t), p).min() >= -geometry.TOL_LOCATE
 
 
+def _scan_locate(tr, points, tol=geometry.TOL_LOCATE):
+    """Reference point location: every point against every triangle, first
+    hit in index order (the all-triangles scan locate once used)."""
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    found = np.full(len(pts), -1, dtype=np.int64)
+    chunk = max(1, int(2_000_000 // max(1, tr.n_triangles)))
+    for lo in range(0, len(pts), chunk):
+        p = pts[lo:lo + chunk]
+        rel = p[None, :, :] - tr._v3[:, None, :]  # (N, n, 2)
+        b1 = tr._inv_maps[:, None, 0, 0] * rel[:, :, 0] + tr._inv_maps[:, None, 0, 1] * rel[:, :, 1]
+        b2 = tr._inv_maps[:, None, 1, 0] * rel[:, :, 0] + tr._inv_maps[:, None, 1, 1] * rel[:, :, 1]
+        b3 = 1.0 - b1 - b2
+        inside = (b1 >= -tol) & (b2 >= -tol) & (b3 >= -tol)  # (N, n)
+        any_hit = inside.any(axis=0)
+        first = inside.argmax(axis=0)  # first True = lowest triangle index
+        found[lo:lo + chunk] = np.where(any_hit, first, -1)
+    if single:
+        return None if found[0] < 0 else int(found[0])
+    return found
+
+
+def _sliver_mesh():
+    # triangle 0 has two 0.46 degree angles
+    verts = [[0, 0], [1, 0], [0.5, 0.004], [0.5, 1], [0.5, -1]]
+    return Triangulation(verts, [[0, 1, 2], [0, 2, 3], [2, 1, 3], [0, 4, 1]])
+
+
+def _oracle_mesh(name):
+    from tridensity import simbench
+    from tridensity.assets import load_bundled_mesh
+
+    if name == "sliver":
+        return _sliver_mesh()
+    if name == "grid_968":
+        return grid_mesh(-1, 2, 0, 5, 22, 22)
+    if name.startswith("sim"):
+        return getattr(simbench, f"scenario_{name}")().domain
+    return load_bundled_mesh(name)
+
+
+def _oracle_points(tr, rng):
+    """Random points in and around the bounding box, vertices, points along
+    every edge, points just inside and just outside every edge within the
+    locate tolerance scale, and non-finite rows."""
+    xmin, xmax, ymin, ymax = tr.bounding_box()
+    w, h = xmax - xmin, ymax - ymin
+    box = rng.random((4000, 2)) * [1.4 * w, 1.4 * h] + [xmin - 0.2 * w, ymin - 0.2 * h]
+    corners = tr.vertices[tr.triangles]  # (N, 3, 2)
+    along = [corners[:, i] + a * (corners[:, (i + 1) % 3] - corners[:, i])
+             for a in (0.5, 0.25, 1 / 3) for i in range(3)]
+    off_edge = []
+    for delta in (0.5e-10, 2e-10):
+        for i in range(3):
+            bary = np.full(3, 0.5 + delta / 2)
+            bary[i] = -delta
+            off_edge.append(np.einsum("k,nkd->nd", bary, corners))
+    far = np.array([[xmax + 10 * w, ymin], [xmin, ymax + 1e-3 * h], [1e308, -1e308]])
+    nonfinite = np.array([[np.nan, ymin], [xmin, np.nan], [np.inf, ymin],
+                          [xmin, -np.inf], [np.nan, np.inf]])
+    return np.vstack([box, tr.vertices, *along, *off_edge, far, nonfinite])
+
+
+@pytest.mark.parametrize("name", [
+    "square_unit_32", "square_sim1_50", "horseshoe_112", "horseshoe_356",
+    "sim1", "sim2", "sim3", "grid_968", "sliver",
+])
+def test_locate_matches_scan_oracle(name, rng):
+    tr = _oracle_mesh(name)
+    if name == "sliver":
+        assert mesh_quality(tr).min_angle_deg < 1.0
+    pts = _oracle_points(tr, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _scan_locate(tr, pts)
+        got = tr.locate(pts)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, expected)
+    assert np.any(got >= 0) and np.any(got < 0)
+    empty = tr.locate(np.empty((0, 2)))
+    assert empty.shape == (0,) and empty.dtype == np.int64
+    for p in (tr.vertices[0], [np.nan, 0.0], [1, 0]):
+        one = tr.locate(p)
+        assert one == _scan_locate(tr, p)
+        assert one is None or type(one) is int
+
+
 def test_mesh_quality_equilateral():
     tr = Triangulation([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]], [[0, 1, 2]])
     q = mesh_quality(tr)
