@@ -65,8 +65,9 @@ class FitConfig:
 class ModelSpace:
     """Data-independent fitting structures for one (mesh, spec) pair.
 
-    Holds the constraint null-space basis, the reduced roughness matrix and
-    the quadrature design matrix. Building one of these is the expensive
+    Holds the constraint null-space basis, the reduced roughness matrix,
+    the quadrature design matrix and the Cholesky factor of the seed's
+    ridge system (see init_theta). Building one of these is the expensive
     step (an SVD of the smoothness system); reuse it across repeated fits
     on the same mesh, e.g. cross-validation folds.
     """
@@ -89,6 +90,15 @@ class ModelSpace:
             tr.n_triangles * n_q, basis.shape[1]
         )
         self.quad_points, self.quad_weights = domain_nodes(tr, self.rule)
+        # The seed's ridge system depends only on the space. It is factored
+        # here, not on first use, so that concurrent fits only read it.
+        a = self.quad_basis
+        try:
+            self._seed_factor = linalg.cho_factor(
+                a.T @ a + INIT_RIDGE * self.reduced_penalty, check_finite=False
+            )
+        except linalg.LinAlgError as exc:
+            raise SingularSystem(f"seed least-squares system is singular: {exc}") from exc
 
     @property
     def n_free(self):
@@ -147,13 +157,20 @@ def gradient(theta, work):
 
 
 def hessian(theta, work):
+    """Full symmetric Hessian of the objective at theta."""
+    h = _hessian_upper(theta, work)
+    return np.triu(h) + np.triu(h, 1).T
+
+
+def _hessian_upper(theta, work):
+    """Fortran-ordered matrix whose upper triangle is the Hessian's; its
+    strict lower triangle is 2 lam P's and is not meant to be read."""
     space = work.space
     eta = np.minimum(space.quad_basis @ theta, EXP_CAP)
     w_exp = space.quad_weights * np.exp(eta)
     s = np.sqrt(w_exp)[:, None] * space.quad_basis
     # upper triangle of s^T s + 2 lam P; s.T is Fortran-ordered, so no copy
-    h = blas.dsyrk(1.0, s.T, c=2.0 * work.lam * space.reduced_penalty, beta=1.0)
-    return np.triu(h) + np.triu(h, 1).T
+    return blas.dsyrk(1.0, s.T, c=2.0 * work.lam * space.reduced_penalty, beta=1.0)
 
 
 @dataclass
@@ -201,20 +218,15 @@ def init_theta(space, initial):
     Fits the reduced basis to log(max(initial, floor)) at the quadrature
     nodes; the floor keeps empty triangles finite. The nodes are strictly
     interior and triangle-major, so each triangle's value repeats once per
-    node.
+    node. The system matrix is the same for every seed of a space, so it
+    is solved with the factor ModelSpace holds.
     """
     if not np.any(initial.values > 0):
         raise SingularSystem("initial density is identically zero")
     floor = FLOOR_REL / space.tr.area
     values = np.repeat(initial.values, len(space.rule.weights))
     y = np.log(np.maximum(values, floor))
-    a = space.quad_basis
-    lhs = a.T @ a + INIT_RIDGE * space.reduced_penalty
-    rhs = a.T @ y
-    try:
-        return linalg.solve(lhs, rhs, assume_a="pos")
-    except linalg.LinAlgError as exc:
-        raise SingularSystem(f"seed least-squares system is singular: {exc}") from exc
+    return linalg.cho_solve(space._seed_factor, space.quad_basis.T @ y, check_finite=False)
 
 
 def seed_theta(space, points):
@@ -339,9 +351,12 @@ def newton(work, theta0, config):
             converged = True
             iterations -= 1
             break
-        hess = hessian(theta, work)
+        # potrf('U') reads only the triangle that dsyrk wrote
         try:
-            direction = -linalg.cho_solve(linalg.cho_factor(hess), grad)
+            factor = linalg.cho_factor(
+                _hessian_upper(theta, work), overwrite_a=True, check_finite=False
+            )
+            direction = -linalg.cho_solve(factor, grad, check_finite=False)
         except linalg.LinAlgError:
             direction = -grad
         slope = float(grad @ direction)

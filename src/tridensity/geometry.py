@@ -320,7 +320,8 @@ class _BucketGrid:
     def cells_of(self, points):
         """Rows of points inside the grid (finite ones only) and their
         flat cell indices."""
-        f = self._floor(points)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge or inf rows
+            f = self._floor(points)
         ok = np.all((f >= 0) & (f < self.side), axis=1)  # NaN compares False
         rows = np.nonzero(ok)[0]
         ij = f[rows].astype(np.int64)

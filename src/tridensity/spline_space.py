@@ -93,13 +93,15 @@ def nullspace(h, rtol=RANK_RTOL):
     null(h). Rank counts singular values above rtol times the largest.
     A matrix with no rows yields the identity and rank zero.
     """
+    # a private Fortran-ordered copy, which the SVD may overwrite in place
     if sparse.issparse(h):
-        h = h.toarray()
-    h = np.asarray(h, dtype=float)
+        h = h.toarray(order="F").astype(float, copy=False)
+    else:
+        h = np.array(h, dtype=float, order="F")
     n = h.shape[1]
     if h.shape[0] == 0:
         return np.eye(n), 0
-    s, vt = linalg.svd(h, full_matrices=True)[1:]
+    s, vt = linalg.svd(h, full_matrices=True, overwrite_a=True, check_finite=False)[1:]
     if s.size == 0 or s[0] == 0.0:
         return np.eye(n), 0
     rank = int(np.sum(s > rtol * s[0]))

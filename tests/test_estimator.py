@@ -326,3 +326,195 @@ def test_fitted_density_smooth_across_edges(unit32_space, rng):
             right = piece_value(tr, spec, f.gamma, tb, pts, orders)
             assert np.abs(left - right).max() <= 1e-8
 
+
+
+# ------------------------------------------------ the Newton loop's oracle
+
+def _mirrored_hessian(theta, work):
+    """The Hessian as newton once formed it: dsyrk's upper triangle
+    mirrored into a full symmetric matrix."""
+    from scipy.linalg import blas
+
+    space = work.space
+    eta = np.minimum(space.quad_basis @ theta, estimator.EXP_CAP)
+    w_exp = space.quad_weights * np.exp(eta)
+    s = np.sqrt(w_exp)[:, None] * space.quad_basis
+    h = blas.dsyrk(1.0, s.T, c=2.0 * work.lam * space.reduced_penalty, beta=1.0)
+    return np.triu(h) + np.triu(h, 1).T
+
+
+def _mirrored_newton(work, theta0, config):
+    """newton as it was before it factored dsyrk's triangle in place:
+    mirrored Hessian, checked cho_factor and cho_solve. Returns the fit,
+    or the DidNotConverge it raises."""
+    from scipy import linalg
+
+    objective, gradient = estimator.objective, estimator.gradient  # as patched
+    space = work.space
+    theta = np.asarray(theta0, dtype=float).copy()
+    obj = objective(theta, work)
+    if not np.isfinite(obj):
+        theta = np.zeros_like(theta)
+        obj = objective(theta, work)
+    trace = [obj]
+    converged = False
+    iterations = 0
+    cause = f"iteration limit (max_iters={config.max_iters}) reached"
+
+    for iterations in range(1, config.max_iters + 1):
+        grad = gradient(theta, work)
+        if np.abs(grad).max() <= config.grad_tol:
+            converged = True
+            iterations -= 1
+            break
+        hess = _mirrored_hessian(theta, work)
+        try:
+            direction = -linalg.cho_solve(linalg.cho_factor(hess), grad)
+        except linalg.LinAlgError:
+            direction = -grad
+        slope = float(grad @ direction)
+        if slope >= 0.0:
+            direction = -grad
+            slope = float(grad @ direction)
+        alpha = 1.0
+        new_theta, new_obj = theta, obj
+        while alpha > 1e-20:
+            cand = theta + alpha * direction
+            cand_obj = objective(cand, work)
+            if cand_obj <= obj + estimator.ARMIJO_C * alpha * slope:
+                new_theta, new_obj = cand, cand_obj
+                break
+            alpha *= estimator.ARMIJO_SHRINK
+        else:
+            cause = "line search stalled"
+            break
+        step = alpha * float(np.abs(direction).max())
+        decrease = obj - new_obj
+        theta, obj = new_theta, new_obj
+        trace.append(obj)
+        if decrease <= config.obj_tol or step <= config.step_tol:
+            converged = True
+            break
+    if not converged:
+        grad_max = float(np.abs(gradient(theta, work)).max())
+        converged = grad_max <= config.grad_tol
+
+    result = estimator.DensityFit(
+        space=space, theta=theta, gamma=space.gamma(theta), lam=work.lam,
+        log_norm_const=float(np.log(space.integral_exp(theta))),
+        objective_trace=trace, converged=converged, iterations=iterations,
+    )
+    if not converged:
+        return DidNotConverge(
+            result,
+            f"optimizer did not converge: {cause} after {iterations} iterations, "
+            f"max|gradient| {grad_max:.3e}",
+        )
+    return result
+
+
+def _newton_outcome(run):
+    try:
+        return run()
+    except DidNotConverge as exc:
+        return exc
+
+
+def _assert_same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, DidNotConverge):
+        assert str(got) == str(want)
+        got, want = got.fit, want.fit
+    assert np.array_equal(got.theta, want.theta)
+    assert got.objective_trace == want.objective_trace
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.log_norm_const == want.log_norm_const
+
+
+@pytest.fixture(scope="module")
+def horseshoe_space():
+    from tridensity.assets import load_bundled_mesh
+
+    return ModelSpace(load_bundled_mesh("horseshoe_112"), SplineSpec(3, 1))
+
+
+def horseshoe_points(tr, n, seed):
+    """n points drawn uniformly on the mesh by rejection from its box,
+    crowded toward one corner so the fits are not flat."""
+    rng = np.random.default_rng(seed)
+    xmin, xmax, ymin, ymax = tr.bounding_box()
+    out = np.empty((0, 2))
+    while len(out) < n:
+        p = rng.random((4 * n, 2)) ** [1.0, 2.0] * [xmax - xmin, ymax - ymin] + [xmin, ymin]
+        out = np.vstack([out, p[tr.locate(p) >= 0]])
+    return out[:n]
+
+
+def test_hessian_equals_mirrored_formula(horseshoe_space, rng):
+    pts = horseshoe_points(horseshoe_space.tr, 300, seed=4)
+    for lam in (0.0, 1e-3, 1.0):
+        work = make_workspace(horseshoe_space, pts, lam)
+        for theta in (np.zeros(horseshoe_space.n_free),
+                      0.3 * rng.standard_normal(horseshoe_space.n_free)):
+            assert np.array_equal(hessian(theta, work), _mirrored_hessian(theta, work))
+
+
+def test_newton_matches_mirrored_oracle_on_warm_started_chain(horseshoe_space):
+    space = horseshoe_space
+    pts = horseshoe_points(space.tr, 600, seed=11)
+    theta = estimator.seed_theta(space, pts)
+    for lam in np.logspace(-6.0, 0.0, 9):
+        work = make_workspace(space, pts, float(lam))
+        cfg = FitConfig(lam=float(lam))
+        got = _newton_outcome(lambda: estimator.newton(work, theta, cfg))
+        _assert_same_outcome(got, _mirrored_newton(work, theta, cfg))
+        assert got.converged
+        theta = got.theta
+
+
+@pytest.mark.parametrize("case", ["above_exp_cap", "max_iters", "stalled"])
+def test_newton_matches_mirrored_oracle_off_the_happy_path(horseshoe_space, case,
+                                                           monkeypatch):
+    space = horseshoe_space
+    pts = horseshoe_points(space.tr, 200, seed=5)
+    work = make_workspace(space, pts, 1e-3)
+    theta0 = estimator.seed_theta(space, pts)
+    cfg = FitConfig(lam=1e-3)
+    if case == "above_exp_cap":
+        theta0 = np.full(space.n_free, 1e6)
+        assert not np.isfinite(objective(theta0, work))
+    elif case == "max_iters":
+        cfg = FitConfig(lam=1e-3, max_iters=2, grad_tol=1e-14, obj_tol=1e-16,
+                        step_tol=1e-16)
+    calls = []
+    if case == "stalled":
+        real_objective = estimator.objective
+
+        def first_finite(theta, work):
+            calls.append(1)
+            return real_objective(theta, work) if len(calls) == 1 else np.inf
+
+        monkeypatch.setattr(estimator, "objective", first_finite)
+    got = _newton_outcome(lambda: estimator.newton(work, theta0, cfg))
+    calls.clear()
+    want = _mirrored_newton(work, theta0, cfg)
+    _assert_same_outcome(got, want)
+    assert isinstance(got, DidNotConverge) == (case != "above_exp_cap")
+
+
+@pytest.mark.parametrize("n", [300, 900])  # LSS seed below 560 points, histogram above
+def test_init_theta_equals_ridge_solve(horseshoe_space, n):
+    from scipy import linalg
+
+    space = horseshoe_space
+    pts = horseshoe_points(space.tr, n, seed=n)
+    seeded = n / space.tr.n_triangles < estimator.LSS_THRESHOLD
+    initial = (initial_lss if seeded else initial_histogram)(space.tr, pts)
+    a = space.quad_basis
+    y = np.log(np.maximum(np.repeat(initial.values, len(space.rule.weights)),
+                          estimator.FLOOR_REL / space.tr.area))
+    lhs = a.T @ a + estimator.INIT_RIDGE * space.reduced_penalty
+    want = linalg.solve(lhs, a.T @ y, assume_a="pos")
+    assert np.array_equal(init_theta(space, initial), want)
+    assert np.array_equal(estimator.seed_theta(space, pts), want)

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,7 +186,8 @@ def _oracle_points(tr, rng):
             bary = np.full(3, 0.5 + delta / 2)
             bary[i] = -delta
             off_edge.append(np.einsum("k,nkd->nd", bary, corners))
-    far = np.array([[xmax + 10 * w, ymin], [xmin, ymax + 1e-3 * h], [1e308, -1e308]])
+    far = np.array([[xmax + 10 * w, ymin], [xmin, ymax + 1e-3 * h], [1e308, -1e308],
+                    [-1e308, 1e308], [1e308, 1e308]])
     nonfinite = np.array([[np.nan, ymin], [xmin, np.nan], [np.inf, ymin],
                           [xmin, -np.inf], [np.nan, np.inf]])
     return np.vstack([box, tr.vertices, *along, *off_edge, far, nonfinite])
@@ -200,18 +202,21 @@ def test_locate_matches_scan_oracle(name, rng):
     if name == "sliver":
         assert mesh_quality(tr).min_angle_deg < 1.0
     pts = _oracle_points(tr, rng)
+    probes = (tr.vertices[0], [np.nan, 0.0], [1, 0], [1e308, 0.0])
     with np.errstate(over="ignore", invalid="ignore"):
         expected = _scan_locate(tr, pts)
+        expected_singles = [_scan_locate(tr, p) for p in probes]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # huge and non-finite rows warn nothing
         got = tr.locate(pts)
+        singles = [tr.locate(p) for p in probes]
     assert got.dtype == np.int64
     assert np.array_equal(got, expected)
     assert np.any(got >= 0) and np.any(got < 0)
     empty = tr.locate(np.empty((0, 2)))
     assert empty.shape == (0,) and empty.dtype == np.int64
-    for p in (tr.vertices[0], [np.nan, 0.0], [1, 0]):
-        one = tr.locate(p)
-        assert one == _scan_locate(tr, p)
-        assert one is None or type(one) is int
+    assert singles == expected_singles
+    assert all(one is None or type(one) is int for one in singles)
 
 
 def test_mesh_quality_equilateral():

@@ -184,9 +184,14 @@ def test_threads_do_not_change_results(unit32, rng):
     space = ModelSpace(unit32, spec)
     grid = [1e-4, 1e-2]
     r1 = select_lambda(unit32, pts, spec, grid, folds=4, seed=2, space=space, threads=1)
-    r8 = select_lambda(unit32, pts, spec, grid, folds=4, seed=2, space=space, threads=8)
-    assert r1.cv_errors == r8.cv_errors
-    assert r1.best_lambda == r8.best_lambda
+    # the folds share the space, and with it the seed factor, across threads
+    for threads in (2, 8):
+        rk = select_lambda(unit32, pts, spec, grid, folds=4, seed=2, space=space,
+                           threads=threads)
+        for name in ("lambda_grid", "cv_errors", "best_lambda", "seed", "folds",
+                     "failed_folds", "fold_failures", "lambda_at_grid_edge"):
+            assert getattr(rk, name) == getattr(r1, name), name
+        assert np.array_equal(rk.fold_assignments, r1.fold_assignments)
 
 
 def test_default_grid_shape():

@@ -157,6 +157,27 @@ def test_nullspace_random_property(rng):
     assert np.abs(h @ basis).max() <= 1e-10
 
 
+def test_nullspace_copies_its_input_and_matches_plain_svd(unit32):
+    from scipy import linalg
+
+    h = smoothness_matrix(unit32, SplineSpec(3, 1))
+    dense = h.toarray()
+    s, vt = linalg.svd(dense, full_matrices=True)[1:]  # the SVD on a copy
+    want_rank = int(np.sum(s > 1e-9 * s[0]))
+    want = vt[want_rank:].T
+    for given in (h, dense, np.asfortranarray(dense)):
+        before = given.copy()
+        basis, rank = nullspace(given)
+        assert rank == want_rank
+        assert np.array_equal(basis, want)
+        if sparse.issparse(given):
+            assert (given != before).nnz == 0
+        else:
+            assert np.array_equal(given, before)
+    basis, rank = nullspace(np.array([[1, -1]]))  # integer input
+    assert rank == 1 and basis.dtype == float
+
+
 def test_unsupported_smoothness(square2):
     spec = SplineSpec.__new__(SplineSpec)
     object.__setattr__(spec, "degree", 1)
