@@ -50,7 +50,6 @@ from .geometry import (
 from .model_selection import (
     DEFAULT_LAMBDA_GRID,
     CvReport,
-    cv_error,
     fold_assignments,
     select_lambda,
 )
@@ -60,7 +59,6 @@ from .simbench import (
     MiseResult,
     Scenario,
     get_scenario,
-    kde_baseline,
     mise,
     run_benchmark,
     sample,
@@ -81,10 +79,10 @@ __all__ = [
     "density_from_gamma", "fit", "gradient", "hessian", "init_theta",
     "initial_histogram", "initial_lss", "make_workspace", "objective", "MeshQuality",
     "Triangulation", "barycentric", "load_mesh", "mesh_quality", "vertex_neighborhood",
-    "DEFAULT_LAMBDA_GRID", "CvReport", "cv_error", "fold_assignments", "select_lambda",
+    "DEFAULT_LAMBDA_GRID", "CvReport", "fold_assignments", "select_lambda",
     "QuadRule", "conical_rule", "integrate_domain", "integrate_triangle", "rule_9",
     "rule_12", "KernelDensity", "MiseResult", "Scenario", "get_scenario",
-    "kde_baseline", "mise", "run_benchmark", "sample", "scenario_sim1", "scenario_sim2",
+    "mise", "run_benchmark", "sample", "scenario_sim1", "scenario_sim2",
     "scenario_sim3", "ConstraintSystem", "build_constraints", "nullspace",
     "penalty_matrix", "smoothness_matrix",
 ]

@@ -20,7 +20,8 @@ import numpy as np
 from . import estimator, model_selection, simbench
 from .assets import BUNDLED_MESHES, mesh_paths
 from .bernstein import SplineSpec, index_set
-from .errors import DidNotConverge, MeshError, PointOutsideDomain, TriDensityError
+from .errors import (DidNotConverge, MeshError, PointOutsideDomain, TriDensityError,
+                     UnsupportedSmoothness)
 from .geometry import cell_grid, load_mesh, load_points, mesh_quality
 
 SCHEMA_VERSION = 1
@@ -43,7 +44,8 @@ def main(argv=None):
     except DidNotConverge as exc:
         _error_json("DidNotConverge", str(exc), EXIT_CONVERGENCE)
         return EXIT_CONVERGENCE
-    except (ValidationError, MeshError, PointOutsideDomain, ValueError) as exc:
+    except (ValidationError, MeshError, PointOutsideDomain, UnsupportedSmoothness,
+            ValueError) as exc:
         _error_json(type(exc).__name__, str(exc), EXIT_VALIDATION)
         return EXIT_VALIDATION
     except TriDensityError as exc:
@@ -222,6 +224,8 @@ def _mesh_summary(tr):
 
 
 def cmd_fit(args):
+    if args.grid < 0:
+        raise ValidationError("--grid must be nonnegative (0 writes no grid)")
     tr = _load_mesh(args)
     spec = SplineSpec(args.m, args.r)
     pts, n_dropped = _load_data(args, tr)

@@ -42,24 +42,27 @@ ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 
 
+# Newton stops after MAX_ITERS iterations, or once max|gradient| is at most
+# GRAD_TOL, an accepted step moves no coefficient by more than STEP_TOL, or
+# a step lowers the objective by at most OBJ_TOL.
+MAX_ITERS = 100
+GRAD_TOL = 1e-8
+STEP_TOL = 1e-12
+OBJ_TOL = 1e-12
+
+
 @dataclass
 class FitConfig:
-    """Tuning knobs of the fitter; defaults follow the package defaults
-    (cubic splines with one order of smoothness)."""
+    """What a fit is asked for: the spline space and the smoothing weight;
+    defaults follow the package defaults (cubic splines with one order of
+    smoothness)."""
 
     spec: SplineSpec = field(default_factory=lambda: SplineSpec(3, 1))
     lam: float = 1e-3
-    max_iters: int = 100
-    grad_tol: float = 1e-8
-    step_tol: float = 1e-12
-    obj_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        for name in ("grad_tol", "step_tol", "obj_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam!r}")
 
 
 class ModelSpace:
@@ -157,14 +160,10 @@ def gradient(theta, work):
 
 
 def hessian(theta, work):
-    """Full symmetric Hessian of the objective at theta."""
-    h = _hessian_upper(theta, work)
-    return np.triu(h) + np.triu(h, 1).T
-
-
-def _hessian_upper(theta, work):
-    """Fortran-ordered matrix whose upper triangle is the Hessian's; its
-    strict lower triangle is 2 lam P's and is not meant to be read."""
+    """Hessian of the objective at theta, as a Fortran-ordered matrix of
+    which only the upper triangle is defined: it holds the Hessian there,
+    while the strict lower triangle holds 2 lam P's and is not meant to be
+    read. Mirror the upper triangle for the full symmetric matrix."""
     space = work.space
     eta = np.minimum(space.quad_basis @ theta, EXP_CAP)
     w_exp = space.quad_weights * np.exp(eta)
@@ -303,12 +302,12 @@ def density_from_gamma(tr, spec, gamma, points, log_norm_const=None):
     return values, inside
 
 
-def fit(tr, points, config=None, space=None, theta0=None):
+def fit(tr, points, config=None, space=None):
     """Fit the penalized log-density to points scattered on the mesh.
 
-    Builds the workspace of the points, seeds with seed_theta unless
-    theta0 is given, and runs newton. Raises DidNotConverge (carrying the
-    last iterate and objective trace) if newton stops before converging.
+    Builds the workspace of the points, seeds with seed_theta and runs
+    newton. Raises DidNotConverge (carrying the last iterate and objective
+    trace) if newton stops before converging.
     """
     config = config or FitConfig()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -317,21 +316,20 @@ def fit(tr, points, config=None, space=None, theta0=None):
     if space is None:
         space = ModelSpace(tr, config.spec)
     work = make_workspace(space, pts, config.lam)
-    if theta0 is None:
-        theta0 = seed_theta(space, pts)
-    return newton(work, theta0, config)
+    return newton(work, seed_theta(space, pts))
 
 
-def newton(work, theta0, config):
+def newton(work, theta0):
     """Minimize the objective of a workspace from theta0.
 
     Newton directions with an Armijo backtracking line search; a Hessian
     factorization failure falls back to a plain gradient step for that
-    iteration. The penalty weight is work.lam; config supplies the
-    iteration limit and tolerances. Raises DidNotConverge (carrying the
-    last iterate and objective trace) if the iteration limit is reached or
-    the line search stalls first; its message names which, with the
-    iterations used and the final max|gradient|.
+    iteration. The penalty weight is work.lam; the iteration limit and
+    tolerances are the module constants MAX_ITERS, GRAD_TOL, STEP_TOL and
+    OBJ_TOL. Raises DidNotConverge (carrying the last iterate and objective
+    trace) if the iteration limit is reached or the line search stalls
+    first; its message names which, with the iterations used and the final
+    max|gradient|.
     """
     space = work.space
     theta = np.asarray(theta0, dtype=float).copy()
@@ -343,18 +341,18 @@ def newton(work, theta0, config):
     trace = [obj]
     converged = False
     iterations = 0
-    cause = f"iteration limit (max_iters={config.max_iters}) reached"
+    cause = f"iteration limit (max_iters={MAX_ITERS}) reached"
 
-    for iterations in range(1, config.max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         grad = gradient(theta, work)
-        if np.abs(grad).max() <= config.grad_tol:
+        if np.abs(grad).max() <= GRAD_TOL:
             converged = True
             iterations -= 1
             break
         # potrf('U') reads only the triangle that dsyrk wrote
         try:
             factor = linalg.cho_factor(
-                _hessian_upper(theta, work), overwrite_a=True, check_finite=False
+                hessian(theta, work), overwrite_a=True, check_finite=False
             )
             direction = -linalg.cho_solve(factor, grad, check_finite=False)
         except linalg.LinAlgError:
@@ -379,12 +377,12 @@ def newton(work, theta0, config):
         decrease = obj - new_obj
         theta, obj = new_theta, new_obj
         trace.append(obj)
-        if decrease <= config.obj_tol or step <= config.step_tol:
+        if decrease <= OBJ_TOL or step <= STEP_TOL:
             converged = True
             break
     if not converged:
         grad_max = float(np.abs(gradient(theta, work)).max())
-        converged = grad_max <= config.grad_tol
+        converged = grad_max <= GRAD_TOL
 
     gamma = space.gamma(theta)
     result = DensityFit(

@@ -10,12 +10,12 @@ and flagged rather than poisoning the whole grid cell.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AllFoldsFailed, TriDensityError
-from .estimator import EXP_CAP, FitConfig, ModelSpace, Workspace
+from .estimator import EXP_CAP, ModelSpace, Workspace
 from . import estimator
 from .quadrature import integrate_domain, rule_9
 
@@ -81,19 +81,8 @@ def pick_best(lambda_grid, cv_errors):
     return best
 
 
-def cv_error(tr, points, spec, lam, folds=10, seed=0, space=None, config=None):
-    """Cross-validation error of a single smoothing weight.
-
-    Raises AllFoldsFailed (from select_lambda) if every fold fails.
-    """
-    report = select_lambda(
-        tr, points, spec, [lam], folds=folds, seed=seed, space=space, config=config
-    )
-    return report.cv_errors[0]
-
-
 def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
-                  seed=0, space=None, config=None, threads=1):
+                  seed=0, space=None, threads=1):
     """Evaluate the cross-validation error over a grid of smoothing weights.
 
     The data design matrix is built once for all points; a fold's training
@@ -104,17 +93,20 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
     of every failed fit and flags a best weight on the edge of the grid. A
     grid cell where every fold failed reports +inf and is never selected;
     if the whole grid is +inf, AllFoldsFailed is raised, naming the first
-    cause.
+    cause. An empty grid, or a negative or non-finite weight in it, raises
+    ValueError before any fit.
     """
     lambda_grid = [float(l) for l in lambda_grid]
     if not lambda_grid:
         raise ValueError("lambda grid is empty")
+    for lam in lambda_grid:
+        if not (np.isfinite(lam) and lam >= 0):
+            raise ValueError(f"lambda grid values must be finite and nonnegative, got {lam!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(pts)
     assign = fold_assignments(n, folds, seed)
     if space is None:
         space = ModelSpace(tr, spec)
-    base = config or FitConfig(spec=spec)
 
     data_basis = space.data_basis(pts)  # shared, read-only
     order = np.argsort(lambda_grid, kind="stable")
@@ -134,7 +126,7 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
             try:
                 if theta is None:
                     theta = estimator.seed_theta(space, pts[~test_mask])
-                f = estimator.newton(work, theta, replace(base, lam=lam))
+                f = estimator.newton(work, theta)
             except TriDensityError as exc:
                 failures.append((int(gi), str(exc)))
                 continue

@@ -43,7 +43,6 @@ class SkewNormalComponent:
     xi: tuple
     omega: tuple   # ((a, 0), (0, c)) scale matrix
     alpha: tuple
-    tau: float = 0.0
     weight: float = 1.0
 
 
@@ -58,9 +57,6 @@ class Scenario:
     density_max: float             # grid estimate of the density maximum
     components: tuple = ()
 
-    def true_density(self, points):
-        return self.density(np.atleast_2d(np.asarray(points, dtype=float)))
-
 
 def gaussian_pdf(points, mean, cov):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -74,9 +70,7 @@ def gaussian_pdf(points, mean, cov):
 
 
 def skew_normal_pdf(points, comp):
-    """Density of the skewed Gaussian component (tau = 0 form only)."""
-    if comp.tau != 0.0:
-        raise ValueError("only the tau = 0 skewed Gaussian is implemented")
+    """Density of the skewed Gaussian component."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     xi = np.asarray(comp.xi, dtype=float)
     omega = np.asarray(comp.omega, dtype=float)
@@ -86,15 +80,17 @@ def skew_normal_pdf(points, comp):
     return 2.0 * gaussian_pdf(pts, xi, omega) * ndtr(z @ alpha)
 
 
-def horseshoe_function(points, r=0.5, slope=1.0):
+def horseshoe_function(points):
     """Ridge test function on the horseshoe: spine coordinate plus squared
     offset from the spine.
 
     The spine runs along the lower arm, around the bend (a semicircle of
-    radius r) and along the upper arm; the value grows linearly with the
-    signed distance travelled and quadratically with the transverse offset.
-    Defined for all of R^2; only values on the domain are meaningful.
+    radius 0.5) and along the upper arm; the value grows linearly, with
+    slope one, in the signed distance travelled and quadratically in the
+    transverse offset. Defined for all of R^2; only values on the domain
+    are meaningful.
     """
+    r = 0.5
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x, y = pts[:, 0], pts[:, 1]
     q = math.pi * r / 2.0
@@ -110,7 +106,7 @@ def horseshoe_function(points, r=0.5, slope=1.0):
     with np.errstate(divide="ignore", invalid="ignore"):
         a[bend] = -np.arctan(y[bend] / x[bend]) * r
     d[bend] = np.hypot(x[bend], y[bend]) - r
-    return slope * a + d ** 2
+    return a + d ** 2
 
 
 @lru_cache(maxsize=32)
@@ -338,12 +334,12 @@ _SCALES = (0.5, 1.0, 2.0)
 _ANGLES = (-math.pi / 8, 0.0, math.pi / 8)
 
 
-def _rotations(points, scales=_SCALES, angles=_ANGLES):
-    """The candidate grid, one entry per angle: (basis, var0, var1).
+def _rotations(points):
+    """The candidate grid, one entry per angle of _ANGLES: (basis, var0, var1).
 
     basis is the angle's rotation of the eigenvectors of the
     normal-reference bandwidth; var0 and var1 hold its eigenvalues times
-    each scale. Candidate (i, j) of the entry is
+    each scale of _SCALES. Candidate (i, j) of the entry is
     basis @ diag(var0[i], var1[j]) @ basis.T.
     """
     href = normal_reference_bandwidth(points)
@@ -351,22 +347,23 @@ def _rotations(points, scales=_SCALES, angles=_ANGLES):
     if evals.min() <= 0:
         raise SingularBandwidth("sample covariance is singular")
     out = []
-    for phi in angles:
+    for phi in _ANGLES:
         rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
-        out.append((rot @ evecs, [s * evals[0] for s in scales], [s * evals[1] for s in scales]))
+        out.append((rot @ evecs, [s * evals[0] for s in _SCALES],
+                    [s * evals[1] for s in _SCALES]))
     return out
 
 
-def bandwidth_candidates(points, scales=_SCALES, angles=_ANGLES):
+def bandwidth_candidates(points):
     """Diagonal-plus-rotation grid around the normal-reference bandwidth.
 
-    Each angle rotates the eigenvectors of the normal-reference bandwidth,
-    and each pair of scales multiplies its two eigenvalues: with the
-    defaults, 3 angles x 3 x 3 scales = 27 candidates, ordered by angle,
+    Each angle of _ANGLES rotates the eigenvectors of the normal-reference
+    bandwidth, and each pair of scales of _SCALES multiplies its two
+    eigenvalues: 3 angles x 3 x 3 scales = 27 candidates, ordered by angle,
     then the first scale, then the second.
     """
     return [basis @ np.diag([a, b]) @ basis.T
-            for basis, var0, var1 in _rotations(points, scales, angles)
+            for basis, var0, var1 in _rotations(points)
             for a in var0 for b in var1]
 
 
@@ -427,20 +424,6 @@ def select_kde_bandwidth(points, domain, folds=10, seed=0):
         scores.extend(err.mean(axis=-1).ravel().tolist())
     candidates = bandwidth_candidates(pts)
     return candidates[int(np.argmin(scores))], {"scores": scores, "candidates": candidates}
-
-
-def kde_baseline(points, eval_points, bandwidth=None, domain=None, folds=10, seed=0):
-    """Kernel density values on an evaluation grid.
-
-    bandwidth may be an explicit 2x2 matrix; if omitted, it is selected by
-    cross-validation, which requires the domain mesh for the quadrature
-    term of the score.
-    """
-    if bandwidth is None:
-        if domain is None:
-            raise ValueError("bandwidth selection requires the domain mesh")
-        bandwidth, _ = select_kde_bandwidth(points, domain, folds=folds, seed=seed)
-    return KernelDensity(points, bandwidth)(eval_points)
 
 
 def replication_estimators(scenario, n, rep_seed, methods=("bpst", "kde"),

@@ -86,11 +86,11 @@ def _storage_index(exponents, positions):
     return tuple(d)
 
 
-def nullspace(h, rtol=RANK_RTOL):
+def nullspace(h):
     """Orthonormal basis of the null space of a constraint matrix.
 
     Returns (basis, rank) where basis has orthonormal columns spanning
-    null(h). Rank counts singular values above rtol times the largest.
+    null(h). Rank counts singular values above RANK_RTOL times the largest.
     A matrix with no rows yields the identity and rank zero.
     """
     # a private Fortran-ordered copy, which the SVD may overwrite in place
@@ -104,7 +104,7 @@ def nullspace(h, rtol=RANK_RTOL):
     s, vt = linalg.svd(h, full_matrices=True, overwrite_a=True, check_finite=False)[1:]
     if s.size == 0 or s[0] == 0.0:
         return np.eye(n), 0
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = int(np.sum(s > RANK_RTOL * s[0]))
     return vt[rank:].T.copy(), rank
 
 
@@ -162,18 +162,3 @@ def penalty_matrix(tr, spec):
         )
         blocks.append((block + block.T) / 2.0)
     return sparse.block_diag(blocks, format="csr")
-
-
-def roughness(k, gamma):
-    """Quadratic roughness energy of a coefficient vector."""
-    return float(gamma @ (k @ gamma))
-
-
-def dump_coo(matrix, path):
-    """Write a matrix in 'row col value' coordinate text format."""
-    coo = sparse.coo_matrix(matrix)
-    with open(path, "w") as fh:
-        fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        order = np.lexsort((coo.col, coo.row))
-        for i in order:
-            fh.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]!r}\n")

@@ -19,6 +19,16 @@ def grid_mesh(xmin, xmax, ymin, ymax, nx, ny):
     return Triangulation(np.array(verts, float), np.array(tris))
 
 
+def starve_newton(monkeypatch, max_iters, grad_tol, tol):
+    """Cap newton at max_iters iterations, with GRAD_TOL grad_tol and tol for
+    both OBJ_TOL and STEP_TOL, for the rest of the test."""
+    from tridensity import estimator
+
+    for name, value in (("MAX_ITERS", max_iters), ("GRAD_TOL", grad_tol),
+                        ("OBJ_TOL", tol), ("STEP_TOL", tol)):
+        monkeypatch.setattr(estimator, name, value)
+
+
 def random_interior_bary(rng, n):
     """Random strictly interior barycentric triples."""
     b12 = rng.random((n, 2))

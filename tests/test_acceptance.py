@@ -31,7 +31,7 @@ from tridensity.simbench import (
     scenario_sim1,
     scenario_sim2,
 )
-from tridensity.spline_space import build_constraints, penalty_matrix, roughness
+from tridensity.spline_space import build_constraints, penalty_matrix
 
 from conftest import random_interior_bary, random_triangle
 from test_bernstein import _fd_derivative
@@ -86,13 +86,13 @@ def test_03_penalty_matrix_oracle(square2, rng):
         k = penalty_matrix(square2, spec)
         for _ in range(n_draws):
             gamma = rng.standard_normal(spec.dimension(square2))
-            direct = roughness(k, gamma)
+            direct = float(gamma @ (k @ gamma))
             indep = energy_by_quadrature(square2, spec, gamma, oracle_rule)
             assert abs(direct - indep) <= 1e-9 * abs(indep)
         linear = interpolate_function(
             square2, spec, lambda p: 1.7 - 0.4 * p[:, 0] + 2.2 * p[:, 1]
         )
-        assert roughness(k, linear) <= 1e-12 * float(linear @ linear)
+        assert float(linear @ (k @ linear)) <= 1e-12 * float(linear @ linear)
     _report(3, "penalty energy vs independent degree-8 rule")
 
 
@@ -137,8 +137,15 @@ def test_05_objective_calculus(rng):
                 fd[i] = (objective(theta + e, work) - objective(theta - e, work)) / (2 * h)
             assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
             hess = hessian(theta, work)
-            assert np.abs(hess - hess.T).max() == 0.0
-            np.linalg.cholesky(hess)
+            # only the upper triangle is defined; it must match the dense
+            # Hessian of the reduced objective, sum_q w_q e^eta_q b_q b_q^T + 2 lam P
+            eta = np.minimum(space.quad_basis @ theta, estimator.EXP_CAP)
+            w_exp = space.quad_weights * np.exp(eta)
+            dense = ((space.quad_basis * w_exp[:, None]).T @ space.quad_basis
+                     + 2.0 * lam * space.reduced_penalty)
+            upper = np.triu(np.ones_like(dense, dtype=bool))
+            assert np.abs(hess[upper] - dense[upper]).max() <= 1e-12 * np.abs(dense).max()
+            np.linalg.cholesky(np.triu(hess) + np.triu(hess, 1).T)
             checks += 1
     assert checks >= 20
     _report(5, f"gradient/Hessian calculus, {checks} random coefficient draws")

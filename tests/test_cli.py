@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from tridensity import cli, estimator
-from tridensity.estimator import FitConfig
+from tridensity import cli
+
+from conftest import starve_newton
 
 
 def write_points(path, pts):
@@ -130,24 +131,66 @@ def test_fit_with_cv_grid(tmp_path, data_csv):
 
 
 def test_fit_nonconvergence_exit3(tmp_path, data_csv, capsys, monkeypatch):
-    real_fit = estimator.fit
-
-    def truncated(tr, pts, config=None, **kwargs):
-        cfg = FitConfig(spec=config.spec, lam=config.lam, max_iters=1,
-                        grad_tol=1e-15, obj_tol=1e-18, step_tol=1e-18)
-        return real_fit(tr, pts, cfg, **kwargs)
-
-    monkeypatch.setattr(cli.estimator, "fit", truncated)
+    starve_newton(monkeypatch, 1, 1e-15, 1e-18)
     out = tmp_path / "fit3"
     code = cli.main([
         "fit", "--bundled-mesh", "square_unit_32", "--data", data_csv,
         "--lambda", "1e-3", "--out", str(out),
     ])
     assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"].startswith(
+        "optimizer did not converge: iteration limit (max_iters=1) reached after 1 iterations"
+    )
     # artifacts are still written for the partial fit
     report = json.loads((out / "fit_report.json").read_text())
     assert report["converged"] is False
     assert (out / "coefficients.csv").exists()
+
+
+def _rejected(tmp_path, capsys, argv, kind):
+    """argv exits 2 with an error of this kind and writes nothing."""
+    out = tmp_path / "rejected"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["exit_code"]) == (kind, 2)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--m", "2", "--r", "3"], ["--m", "-1"]])
+def test_fit_bad_spec_exit2(tmp_path, data_csv, capsys, flags):
+    _rejected(tmp_path, capsys, [
+        "fit", "--bundled-mesh", "square_unit_32", "--data", data_csv,
+        *flags, "--lambda", "1e-3",
+    ], "UnsupportedSmoothness")
+
+
+@pytest.mark.parametrize("flag", ["--lambda", "--lambda-grid"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_fit_bad_lambda_exit2(tmp_path, data_csv, capsys, flag, value):
+    _rejected(tmp_path, capsys, [
+        "fit", "--bundled-mesh", "square_unit_32", "--data", data_csv,
+        f"{flag}={value if flag == '--lambda' else '1e-3,' + value}",
+    ], "ValueError")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_cv_bad_lambda_grid_exit2(tmp_path, data_csv, capsys, value):
+    _rejected(tmp_path, capsys, [
+        "cv", "--bundled-mesh", "square_unit_32", "--data", data_csv,
+        f"--lambda-grid={value}",
+    ], "ValueError")
+
+
+def test_fit_negative_grid_exit2(tmp_path, data_csv, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit ran")
+
+    monkeypatch.setattr(cli.estimator, "ModelSpace", no_fit)
+    _rejected(tmp_path, capsys, [
+        "fit", "--bundled-mesh", "square_unit_32", "--data", data_csv,
+        "--lambda", "1e-3", "--grid", "-5",
+    ], "ValidationError")
 
 
 def test_density_roundtrip(tmp_path, data_csv):

@@ -17,9 +17,8 @@ from tridensity.estimator import (
     objective,
 )
 from tridensity.geometry import Triangulation
-from tridensity.spline_space import roughness
 
-from conftest import grid_mesh
+from conftest import grid_mesh, starve_newton
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +146,7 @@ def test_objective_linear_in_lambda(unit32_space, rng):
     theta = 0.1 * rng.standard_normal(unit32_space.n_free)
     w1 = make_workspace(unit32_space, pts, lam=0.3)
     w2 = make_workspace(unit32_space, pts, lam=0.6)
-    pen = roughness(unit32_space.reduced_penalty, theta)
+    pen = float(theta @ (unit32_space.reduced_penalty @ theta))
     assert objective(theta, w2) - objective(theta, w1) == pytest.approx(0.3 * pen)
 
 
@@ -208,13 +207,27 @@ def test_gradient_of_exponential_term_is_basis_integral(unit32_space):
     assert np.abs(grad - expected).max() <= 1e-12
 
 
+def mirrored_upper(h):
+    """The full symmetric matrix of hessian's upper triangle."""
+    return np.triu(h) + np.triu(h, 1).T
+
+
 def test_hessian_symmetric_positive_definite(unit32_space, rng):
     work = make_workspace(unit32_space, uniform_points(60), lam=1e-2)
+    step = 1e-6
     for _ in range(3):
         theta = 0.2 * rng.standard_normal(unit32_space.n_free)
         h = hessian(theta, work)
-        assert np.abs(h - h.T).max() == 0.0
-        np.linalg.cholesky(h)  # raises if not positive definite
+        assert h.flags.f_contiguous
+        full = mirrored_upper(h)
+        np.linalg.cholesky(full)  # raises if not positive definite
+        # the upper triangle is the Hessian: central differences of the gradient
+        fd = np.empty_like(full)
+        for i in range(len(theta)):
+            e = np.zeros_like(theta)
+            e[i] = step
+            fd[:, i] = (gradient(theta + e, work) - gradient(theta - e, work)) / (2 * step)
+        assert np.abs(fd - full).max() <= 1e-6 * np.abs(full).max()
 
 
 def test_fit_uniform_recovery(unit32_space):
@@ -233,9 +246,15 @@ def test_fit_uniform_recovery(unit32_space):
 
 def test_fit_recovers_from_overflowing_seed(unit32_space):
     huge = np.full(unit32_space.n_free, 1e6)
-    f = fit(unit32_space.tr, uniform_points(200), FitConfig(lam=1e-2),
-            space=unit32_space, theta0=huge)
+    work = make_workspace(unit32_space, uniform_points(200), 1e-2)
+    f = estimator.newton(work, huge)
     assert f.converged
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+def test_fit_config_rejects_bad_lambda(lam):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        FitConfig(lam=lam)
 
 
 def test_fit_requires_points(unit32_space):
@@ -243,10 +262,10 @@ def test_fit_requires_points(unit32_space):
         fit(unit32_space.tr, np.empty((0, 2)), FitConfig(), space=unit32_space)
 
 
-def test_did_not_converge_carries_iterate(unit32_space):
-    cfg = FitConfig(lam=1e-3, max_iters=1, grad_tol=1e-14, obj_tol=1e-16, step_tol=1e-16)
+def test_did_not_converge_carries_iterate(unit32_space, monkeypatch):
+    starve_newton(monkeypatch, 1, 1e-14, 1e-16)
     with pytest.raises(DidNotConverge) as err:
-        fit(unit32_space.tr, uniform_points(100), cfg, space=unit32_space)
+        fit(unit32_space.tr, uniform_points(100), FitConfig(lam=1e-3), space=unit32_space)
     partial = err.value.fit
     assert not partial.converged
     assert partial.iterations == 1
@@ -295,16 +314,17 @@ def test_penalty_monotone_in_lambda(unit32_space):
     energies = []
     for lam in np.logspace(-5, -1, 5):
         f = fit(unit32_space.tr, pts, FitConfig(lam=float(lam)), space=unit32_space)
-        energies.append(roughness(unit32_space.reduced_penalty, f.theta))
+        energies.append(float(f.theta @ (unit32_space.reduced_penalty @ f.theta)))
     assert all(a >= b - 1e-12 for a, b in zip(energies, energies[1:]))
 
 
-def test_density_invariant_to_triangle_reindexing(rng):
+def test_density_invariant_to_triangle_reindexing(rng, monkeypatch):
     tr = grid_mesh(0, 1, 0, 1, 3, 3)
     perm = rng.permutation(tr.n_triangles)
     tr_perm = Triangulation(tr.vertices, tr.triangles[perm])
     pts = uniform_points(400, seed=9)
-    cfg = FitConfig(lam=1e-3, grad_tol=1e-11)
+    monkeypatch.setattr(estimator, "GRAD_TOL", 1e-11)
+    cfg = FitConfig(lam=1e-3)
     f1 = fit(tr, pts, cfg)
     f2 = fit(tr_perm, pts, cfg)
     probes = rng.random((100, 2))
@@ -343,13 +363,15 @@ def _mirrored_hessian(theta, work):
     return np.triu(h) + np.triu(h, 1).T
 
 
-def _mirrored_newton(work, theta0, config):
+def _mirrored_newton(work, theta0):
     """newton as it was before it factored dsyrk's triangle in place:
     mirrored Hessian, checked cho_factor and cho_solve. Returns the fit,
     or the DidNotConverge it raises."""
     from scipy import linalg
 
     objective, gradient = estimator.objective, estimator.gradient  # as patched
+    max_iters, grad_tol = estimator.MAX_ITERS, estimator.GRAD_TOL
+    obj_tol, step_tol = estimator.OBJ_TOL, estimator.STEP_TOL
     space = work.space
     theta = np.asarray(theta0, dtype=float).copy()
     obj = objective(theta, work)
@@ -359,11 +381,11 @@ def _mirrored_newton(work, theta0, config):
     trace = [obj]
     converged = False
     iterations = 0
-    cause = f"iteration limit (max_iters={config.max_iters}) reached"
+    cause = f"iteration limit (max_iters={max_iters}) reached"
 
-    for iterations in range(1, config.max_iters + 1):
+    for iterations in range(1, max_iters + 1):
         grad = gradient(theta, work)
-        if np.abs(grad).max() <= config.grad_tol:
+        if np.abs(grad).max() <= grad_tol:
             converged = True
             iterations -= 1
             break
@@ -392,12 +414,12 @@ def _mirrored_newton(work, theta0, config):
         decrease = obj - new_obj
         theta, obj = new_theta, new_obj
         trace.append(obj)
-        if decrease <= config.obj_tol or step <= config.step_tol:
+        if decrease <= obj_tol or step <= step_tol:
             converged = True
             break
     if not converged:
         grad_max = float(np.abs(gradient(theta, work)).max())
-        converged = grad_max <= config.grad_tol
+        converged = grad_max <= grad_tol
 
     result = estimator.DensityFit(
         space=space, theta=theta, gamma=space.gamma(theta), lam=work.lam,
@@ -457,7 +479,8 @@ def test_hessian_equals_mirrored_formula(horseshoe_space, rng):
         work = make_workspace(horseshoe_space, pts, lam)
         for theta in (np.zeros(horseshoe_space.n_free),
                       0.3 * rng.standard_normal(horseshoe_space.n_free)):
-            assert np.array_equal(hessian(theta, work), _mirrored_hessian(theta, work))
+            assert np.array_equal(mirrored_upper(hessian(theta, work)),
+                                  _mirrored_hessian(theta, work))
 
 
 def test_newton_matches_mirrored_oracle_on_warm_started_chain(horseshoe_space):
@@ -466,9 +489,8 @@ def test_newton_matches_mirrored_oracle_on_warm_started_chain(horseshoe_space):
     theta = estimator.seed_theta(space, pts)
     for lam in np.logspace(-6.0, 0.0, 9):
         work = make_workspace(space, pts, float(lam))
-        cfg = FitConfig(lam=float(lam))
-        got = _newton_outcome(lambda: estimator.newton(work, theta, cfg))
-        _assert_same_outcome(got, _mirrored_newton(work, theta, cfg))
+        got = _newton_outcome(lambda: estimator.newton(work, theta))
+        _assert_same_outcome(got, _mirrored_newton(work, theta))
         assert got.converged
         theta = got.theta
 
@@ -480,13 +502,11 @@ def test_newton_matches_mirrored_oracle_off_the_happy_path(horseshoe_space, case
     pts = horseshoe_points(space.tr, 200, seed=5)
     work = make_workspace(space, pts, 1e-3)
     theta0 = estimator.seed_theta(space, pts)
-    cfg = FitConfig(lam=1e-3)
     if case == "above_exp_cap":
         theta0 = np.full(space.n_free, 1e6)
         assert not np.isfinite(objective(theta0, work))
     elif case == "max_iters":
-        cfg = FitConfig(lam=1e-3, max_iters=2, grad_tol=1e-14, obj_tol=1e-16,
-                        step_tol=1e-16)
+        starve_newton(monkeypatch, 2, 1e-14, 1e-16)
     calls = []
     if case == "stalled":
         real_objective = estimator.objective
@@ -496,9 +516,9 @@ def test_newton_matches_mirrored_oracle_off_the_happy_path(horseshoe_space, case
             return real_objective(theta, work) if len(calls) == 1 else np.inf
 
         monkeypatch.setattr(estimator, "objective", first_finite)
-    got = _newton_outcome(lambda: estimator.newton(work, theta0, cfg))
+    got = _newton_outcome(lambda: estimator.newton(work, theta0))
     calls.clear()
-    want = _mirrored_newton(work, theta0, cfg)
+    want = _mirrored_newton(work, theta0)
     _assert_same_outcome(got, want)
     assert isinstance(got, DidNotConverge) == (case != "above_exp_cap")
 
@@ -518,3 +538,28 @@ def test_init_theta_equals_ridge_solve(horseshoe_space, n):
     want = linalg.solve(lhs, a.T @ y, assume_a="pos")
     assert np.array_equal(init_theta(space, initial), want)
     assert np.array_equal(estimator.seed_theta(space, pts), want)
+
+
+def test_newton_calls_the_traced_names(horseshoe_space, monkeypatch):
+    """newton looks objective, gradient and hessian up as estimator module
+    globals, where a tracer wraps them: one Hessian per iteration, and
+    select_lambda reaches all three."""
+    from tridensity.model_selection import select_lambda
+
+    counts = dict.fromkeys(("objective", "gradient", "hessian"), 0)
+    for name in counts:
+        def counted(theta, work, name=name, real=getattr(estimator, name)):
+            counts[name] += 1
+            return real(theta, work)
+
+        monkeypatch.setattr(estimator, name, counted)
+    space = horseshoe_space
+    pts = horseshoe_points(space.tr, 300, seed=2)
+    f = fit(space.tr, pts, FitConfig(lam=1e-3), space=space)
+    assert f.iterations > 0
+    assert counts["hessian"] == f.iterations
+    assert counts["gradient"] >= f.iterations
+    assert counts["objective"] >= len(f.objective_trace)
+    counts.update(dict.fromkeys(counts, 0))
+    select_lambda(space.tr, pts, space.spec, [1e-3], folds=2, space=space)
+    assert all(counts.values()), counts

@@ -3,17 +3,19 @@ import re
 import numpy as np
 import pytest
 
+from tridensity import estimator
 from tridensity.bernstein import SplineSpec
 from tridensity.errors import AllFoldsFailed
-from tridensity.estimator import EXP_CAP, FitConfig, ModelSpace, fit
+from tridensity.estimator import EXP_CAP, ModelSpace, make_workspace, newton
 from tridensity.model_selection import (
     DEFAULT_LAMBDA_GRID,
-    cv_error,
     fold_assignments,
     fold_error,
     pick_best,
     select_lambda,
 )
+
+from conftest import starve_newton
 
 
 def test_fold_assignments_partition():
@@ -54,19 +56,30 @@ def test_single_lambda_grid(unit32, rng):
     assert np.isfinite(report.cv_errors[0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_select_lambda_rejects_bad_grid_before_fitting(unit32, rng, monkeypatch, bad):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("newton ran")
+
+    monkeypatch.setattr(estimator, "newton", no_fit)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        select_lambda(unit32, rng.random((40, 2)), SplineSpec(3, 1), [1e-3, bad], folds=4)
+
+
 def test_cv_error_deterministic(unit32, rng):
     pts = rng.random((80, 2))
     spec = SplineSpec(3, 1)
     space = ModelSpace(unit32, spec)
-    a = cv_error(unit32, pts, spec, 1e-3, folds=5, seed=3, space=space)
-    b = cv_error(unit32, pts, spec, 1e-3, folds=5, seed=3, space=space)
+    a = select_lambda(unit32, pts, spec, [1e-3], folds=5, seed=3, space=space).cv_errors[0]
+    b = select_lambda(unit32, pts, spec, [1e-3], folds=5, seed=3, space=space).cv_errors[0]
     assert a == b
 
 
 @pytest.mark.parametrize("n", [100, 300])  # seeds from initial_lss, initial_histogram
 def test_shared_design_matches_per_fold_fits(unit32, rng, n):
     """CV on the shared design matrix gives exactly the errors of refitting
-    each fold's training points with fit, warm-started along the grid."""
+    each fold's training points with newton on their own workspace, seeded
+    by seed_theta and warm-started along the grid."""
     pts = rng.random((n, 2))
     spec = SplineSpec(3, 1)
     space = ModelSpace(unit32, spec)
@@ -76,10 +89,9 @@ def test_shared_design_matches_per_fold_fits(unit32, rng, n):
     for k in range(5):
         test = report.fold_assignments == k
         bq_test = space.data_basis(pts[test])
-        warm = None
+        warm = estimator.seed_theta(space, pts[~test])
         for gi in np.argsort(grid, kind="stable"):
-            f = fit(unit32, pts[~test], FitConfig(spec=spec, lam=grid[gi]),
-                    space=space, theta0=warm)
+            f = newton(make_workspace(space, pts[~test], grid[gi]), warm)
             warm = f.theta
             eta = np.minimum(space.quad_basis @ f.theta - f.log_norm_const, EXP_CAP)
             test_vals = np.exp(np.minimum(bq_test @ f.theta - f.log_norm_const, EXP_CAP))
@@ -119,33 +131,30 @@ def test_seed_stability_smoke():
     assert shift < spread
 
 
-def test_degenerate_data_flagged(unit32):
+def test_degenerate_data_flagged(unit32, monkeypatch):
     pts = np.tile([[0.40625, 0.40625]], (30, 1))  # all points identical
     grid = [1e-6, 1e-2, 1.0]
-    report = select_lambda(
-        unit32, pts, SplineSpec(3, 1), grid, folds=3, seed=0,
-        config=FitConfig(spec=SplineSpec(3, 1), max_iters=40),
-    )
+    monkeypatch.setattr(estimator, "MAX_ITERS", 40)
+    report = select_lambda(unit32, pts, SplineSpec(3, 1), grid, folds=3, seed=0)
     assert np.isfinite(report.cv_errors[-1])  # heavy smoothing stays finite
     assert report.best_lambda in grid
 
 
-def test_all_folds_failed(unit32, rng):
+def test_all_folds_failed(unit32, rng, monkeypatch):
     pts = rng.random((40, 2))
-    cfg = FitConfig(spec=SplineSpec(3, 1), max_iters=1,
-                    grad_tol=1e-15, obj_tol=1e-18, step_tol=1e-18)
+    starve_newton(monkeypatch, 1, 1e-15, 1e-18)
     with pytest.raises(AllFoldsFailed, match="optimizer did not converge"):
-        select_lambda(unit32, pts, SplineSpec(3, 1), [1e-3], folds=4, seed=0, config=cfg)
+        select_lambda(unit32, pts, SplineSpec(3, 1), [1e-3], folds=4, seed=0)
 
 
-def test_fold_failures_keep_each_cause(unit32, rng):
+def test_fold_failures_keep_each_cause(unit32, rng, monkeypatch):
     pts = rng.random((40, 2))
     spec = SplineSpec(3, 1)
     grid = [1e-6, 1e-3, 1.0, 1e3, 1e6]
     # with max_iters=1 every fit stops before converging and the whole grid
     # fails; three iterations leave some fits converged and some not
-    report = select_lambda(unit32, pts, spec, grid, folds=4, seed=0,
-                           config=FitConfig(spec=spec, max_iters=3))
+    monkeypatch.setattr(estimator, "MAX_ITERS", 3)
+    report = select_lambda(unit32, pts, spec, grid, folds=4, seed=0)
     pairs = [(gi, k) for gi, k, _ in report.fold_failures]
     assert pairs == [(gi, k) for gi, ks in enumerate(report.failed_folds) for k in ks]
     assert 0 < len(pairs) < len(grid) * 4
@@ -156,7 +165,8 @@ def test_fold_failures_keep_each_cause(unit32, rng):
     for _, _, msg in report.fold_failures:
         match = cause.match(msg)
         assert match, msg
-        assert float(match.group(1)) > FitConfig().grad_tol
+        assert float(match.group(1)) > estimator.GRAD_TOL
+    monkeypatch.undo()
     clean = select_lambda(unit32, pts, spec, grid, folds=4, seed=0)
     assert clean.fold_failures == []
 

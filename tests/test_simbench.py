@@ -14,7 +14,6 @@ from tridensity.simbench import (
     gaussian_pdf,
     get_scenario,
     horseshoe_function,
-    kde_baseline,
     mise,
     normal_reference_bandwidth,
     replication_estimators,
@@ -220,18 +219,6 @@ def test_bandwidth_grid_shape():
     assert len(cands) == 27
     for h in cands:
         np.linalg.cholesky(h)
-
-
-def test_kde_baseline_wrapper():
-    scen = scenario_sim1()
-    pts = sample(scen, 120, seed=4)
-    grid = sample(scen, 50, seed=5)
-    explicit = kde_baseline(pts, grid, bandwidth=np.eye(2))
-    assert explicit.shape == (50,)
-    selected = kde_baseline(pts, grid, domain=scen.domain, folds=5, seed=4)
-    assert np.all(selected > 0.0)
-    with pytest.raises(ValueError):
-        kde_baseline(pts, grid)  # no bandwidth and no domain
 
 
 def per_candidate_kde_cv(points, domain, folds=10, seed=0):
