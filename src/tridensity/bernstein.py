@@ -14,6 +14,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import PointOutsideDomain, UnsupportedSmoothness
+from .geometry import barycentric
 
 
 @dataclass(frozen=True)
@@ -182,27 +183,17 @@ def evaluation_matrix(tr, spec, points, allow_outside=False):
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     t_idx = tr.locate(pts)
-    outside = np.where(t_idx < 0)[0]
-    if outside.size and not allow_outside:
-        raise PointOutsideDomain(outside.tolist())
-    m = spec.degree
+    inside = t_idx >= 0
+    if not (allow_outside or inside.all()):
+        raise PointOutsideDomain(np.flatnonzero(~inside).tolist())
     dim = spec.per_triangle_dim
-    rows, cols, vals = [], [], []
-    for t in np.unique(t_idx):
-        if t < 0:
-            continue
-        sel = np.where(t_idx == t)[0]
-        bary = tr.barycentric(t, pts[sel])
-        basis = evaluate(m, bary)
-        rows.append(np.repeat(sel, dim))
-        cols.append(np.tile(np.arange(t * dim, (t + 1) * dim), len(sel)))
-        vals.append(basis.ravel())
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
+    t_in = t_idx[inside]
+    basis = evaluate(spec.degree, barycentric(tr.triangle_coords(t_in), pts[inside]))
+    # each inside row holds its triangle's dim columns, in ascending order
+    indptr = np.concatenate([[0], np.cumsum(inside * dim)])
+    indices = (t_in[:, None] * dim + np.arange(dim)).ravel()
     matrix = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(len(pts), spec.dimension(tr))
+        (basis.ravel(), indices, indptr), shape=(len(pts), spec.dimension(tr))
     )
     return EvalMatrix(matrix=matrix, triangle_index=t_idx)
 

@@ -232,15 +232,24 @@ def cmd_fit(args):
     if len(pts) == 0:
         raise ValidationError("no data points remain inside the domain")
 
+    if args.lam is None and args.lambda_grid is None:
+        raise ValidationError("one of --lambda or --lambda-grid is required")
+    # every weight, and the folds of a CV, are checked before the space (an
+    # SVD) is built; with --lambda, config is the one weight's
+    grid = [args.lam] if args.lambda_grid is None else _parse_lambda_grid(args.lambda_grid)
+    for lam in grid:
+        config = estimator.FitConfig(spec=spec, lam=lam)
+    if args.lambda_grid is not None:
+        model_selection.fold_assignments(len(pts), args.folds, args.seed)
+
     space = estimator.ModelSpace(tr, spec)
     cv_block = None
     if args.lambda_grid is not None:
-        grid = _parse_lambda_grid(args.lambda_grid)
         report = model_selection.select_lambda(
             tr, pts, spec, grid, folds=args.folds, seed=args.seed,
             space=space, threads=args.threads,
         )
-        lam = report.best_lambda
+        config = estimator.FitConfig(spec=spec, lam=report.best_lambda)
         cv_block = {
             "lambda_grid": report.lambda_grid,
             "cv_errors": report.cv_errors,
@@ -248,12 +257,7 @@ def cmd_fit(args):
             "folds": report.folds,
             "seed": report.seed,
         }
-    elif args.lam is not None:
-        lam = args.lam
-    else:
-        raise ValidationError("one of --lambda or --lambda-grid is required")
 
-    config = estimator.FitConfig(spec=spec, lam=lam)
     failure = None
     try:
         f = estimator.fit(tr, pts, config, space=space)
@@ -371,10 +375,9 @@ def cmd_simulate(args):
     for m in methods:
         if m not in ("bpst", "kde"):
             raise ValidationError(f"unknown method {m!r}")
-    scenario = simbench.get_scenario(args.scenario)
     spec = SplineSpec(args.m, args.r)
     results = simbench.run_benchmark(
-        scenario, args.n, args.reps, methods=methods, seed=args.seed,
+        args.scenario, args.n, args.reps, methods=methods, seed=args.seed,
         spec=spec, folds=args.folds, mise_resolution=args.grid,
         threads=args.threads,
     )
@@ -413,6 +416,7 @@ def cmd_simulate(args):
     _write_atomic(stem + "_replications.csv", "\n".join(lines) + "\n")
 
     if args.emit_grids:
+        scenario = simbench.get_scenario(args.scenario)
         tr = scenario.domain
         truth = lambda pts: (scenario.density(pts), tr.locate(pts) >= 0)
         _write_atomic(stem + "_true_density.csv", _grid_csv(tr, args.grid, truth))

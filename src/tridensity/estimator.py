@@ -107,6 +107,15 @@ class ModelSpace:
     def n_free(self):
         return self.constraints.n_free
 
+    def check(self, tr, spec):
+        """Raise ValueError unless this space was built for spec on tr, or
+        on a mesh with equal vertex and triangle arrays."""
+        if spec != self.spec:
+            raise ValueError(f"space is built for {self.spec}, not {spec}")
+        if not (tr is self.tr or (np.array_equal(tr.vertices, self.tr.vertices)
+                                  and np.array_equal(tr.triangles, self.tr.triangles))):
+            raise ValueError("space is built on a different mesh")
+
     def data_basis(self, points):
         """Reduced-basis design matrix at data points (dense rows)."""
         ev = evaluation_matrix(self.tr, self.spec, points)
@@ -306,8 +315,9 @@ def fit(tr, points, config=None, space=None):
     """Fit the penalized log-density to points scattered on the mesh.
 
     Builds the workspace of the points, seeds with seed_theta and runs
-    newton. Raises DidNotConverge (carrying the last iterate and objective
-    trace) if newton stops before converging.
+    newton. A given space must match tr and config.spec (ModelSpace.check).
+    Raises DidNotConverge (carrying the last iterate and objective trace)
+    if newton stops before converging.
     """
     config = config or FitConfig()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -315,6 +325,8 @@ def fit(tr, points, config=None, space=None):
         raise ValueError("at least one data point is required")
     if space is None:
         space = ModelSpace(tr, config.spec)
+    else:
+        space.check(tr, config.spec)
     work = make_workspace(space, pts, config.lam)
     return newton(work, seed_theta(space, pts))
 

@@ -83,16 +83,32 @@ class Triangulation:
 
         self.vertices = vertices
         self.vertices.setflags(write=False)
-        self.triangles = self._orient_ccw(triangles)
-        self.triangles.setflags(write=False)
-        self._validate_triangles()
-
-        corners = self.vertices[self.triangles]  # (N, 3, 2)
-        self._corners = corners
+        # One signed area per triangle decides orientation, degeneracy and
+        # areas: swapping two corners negates it exactly.
+        corners = vertices[triangles]  # (N, 3, 2)
         d1 = corners[:, 1] - corners[:, 0]
         d2 = corners[:, 2] - corners[:, 0]
-        self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        signed = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        triangles = triangles.copy()
+        clockwise = signed < 0
+        triangles[clockwise] = triangles[clockwise][:, [0, 2, 1]]
+        repeats = np.flatnonzero(np.any(np.diff(np.sort(triangles, axis=1)) == 0, axis=1))
+        if repeats.size:
+            raise DegenerateTriangle(f"triangle {repeats[0]} repeats a vertex index")
+        self.areas = 0.5 * np.abs(signed)
+        xmin, xmax, ymin, ymax = self.bounding_box()
+        scale2 = max((xmax - xmin) ** 2 + (ymax - ymin) ** 2, 1e-300)
+        bad = np.flatnonzero(self.areas <= 1e-14 * scale2)
+        if bad.size:
+            raise DegenerateTriangle(
+                f"triangles {bad.tolist()} have zero area (collinear vertices)"
+            )
         self.area = float(self.areas.sum())
+
+        self.triangles = triangles
+        self.triangles.setflags(write=False)
+        corners = vertices[triangles]
+        self._corners = corners
 
         # Affine maps for barycentric coordinates: b12 = M (p - v3).
         t11 = corners[:, 0, 0] - corners[:, 2, 0]
@@ -100,15 +116,11 @@ class Triangulation:
         t21 = corners[:, 0, 1] - corners[:, 2, 1]
         t22 = corners[:, 1, 1] - corners[:, 2, 1]
         det = t11 * t22 - t12 * t21
-        self._inv_maps = np.empty((len(triangles), 2, 2))
-        self._inv_maps[:, 0, 0] = t22 / det
-        self._inv_maps[:, 0, 1] = -t12 / det
-        self._inv_maps[:, 1, 0] = -t21 / det
-        self._inv_maps[:, 1, 1] = t11 / det
+        self._inv_maps = np.moveaxis(np.array([[t22, -t12], [-t21, t11]]) / det, -1, 0)
         self._v3 = corners[:, 2]
 
-        self.edge_adjacency = self._build_edge_adjacency()
-        self._check_conforming()
+        self._build_edges()
+        self._check_t_junctions(1e-12 * math.sqrt(scale2))
         self._vertex_to_triangles = {}
         for t, tri in enumerate(self.triangles):
             for v in tri:
@@ -133,102 +145,68 @@ class Triangulation:
         )
 
     def triangle_coords(self, t):
-        """Corner coordinates of triangle t as a (3, 2) array."""
+        """Corner coordinates of triangle t as a (3, 2) array, or of an
+        index array of n triangles as an (n, 3, 2) array."""
         return self._corners[t]
 
-    def _orient_ccw(self, triangles):
-        corners = self.vertices[triangles]
-        d1 = corners[:, 1] - corners[:, 0]
-        d2 = corners[:, 2] - corners[:, 0]
-        signed = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        out = triangles.copy()
-        flip = signed < 0
-        out[flip, 1], out[flip, 2] = triangles[flip, 2], triangles[flip, 1]
-        return out
+    def _build_edges(self):
+        """edges (E, 2): vertex pairs, ascending, in lexicographic order;
+        edge_triangles (E, 2): the triangles on each edge, ascending, -1
+        second on the boundary. With every triangle counterclockwise, a
+        directed edge that occurs twice means two triangles on the same
+        side of an edge (an overlap) or an edge on three or more."""
+        directed = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)  # 3 per triangle
+        forward = directed[:, 0] < directed[:, 1]
+        self.edges, first, inverse, counts = np.unique(
+            np.sort(directed, axis=1), axis=0,
+            return_index=True, return_inverse=True, return_counts=True)
+        inverse = inverse.ravel()
+        n_forward = np.bincount(inverse, weights=forward, minlength=len(counts))
+        twice = (n_forward > 1) | (counts - n_forward > 1)
+        if twice.any():
+            # report an edge on three or more triangles before an overlap,
+            # the first listed edge of either kind
+            bad = counts > 2 if np.any(counts > 2) else twice
+            e = np.flatnonzero(bad)[np.argmin(first[bad])]
+            tris = (np.flatnonzero(inverse == e) // 3).tolist()
+            a, b = self.edges[e].tolist()
+            if counts[e] > 2:
+                raise NonConforming(f"edge {(a, b)} is shared by triangles {tris}")
+            raise NonConforming(f"triangles {tris} overlap across edge ({a}, {b})")
+        by_edge = np.argsort(inverse, kind="stable") // 3  # triangles ascending per edge
+        start = np.cumsum(counts) - counts
+        self.edge_triangles = np.full((len(counts), 2), -1, dtype=np.int64)
+        self.edge_triangles[:, 0] = by_edge[start]
+        shared = counts == 2
+        self.edge_triangles[shared, 1] = by_edge[start[shared] + 1]
+        self.edges.setflags(write=False)
+        self.edge_triangles.setflags(write=False)
 
-    def _validate_triangles(self):
-        xmin, xmax = self.vertices[:, 0].min(), self.vertices[:, 0].max()
-        ymin, ymax = self.vertices[:, 1].min(), self.vertices[:, 1].max()
-        scale2 = max((xmax - xmin) ** 2 + (ymax - ymin) ** 2, 1e-300)
-        corners = self.vertices[self.triangles]
-        d1 = corners[:, 1] - corners[:, 0]
-        d2 = corners[:, 2] - corners[:, 0]
-        signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        for t, tri in enumerate(self.triangles):
-            if len(set(tri.tolist())) != 3:
-                raise DegenerateTriangle(f"triangle {t} repeats a vertex index")
-        bad = np.where(signed <= 1e-14 * scale2)[0]
-        if bad.size:
-            raise DegenerateTriangle(
-                f"triangles {bad.tolist()} have zero area (collinear vertices)"
-            )
-
-    def _build_edge_adjacency(self):
-        adjacency = {}
-        for t, (a, b, c) in enumerate(self.triangles):
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (int(min(u, v)), int(max(u, v)))
-                adjacency.setdefault(key, []).append(t)
-        return adjacency
-
-    def _check_conforming(self):
-        for edge, tris in self.edge_adjacency.items():
-            if len(tris) > 2:
-                raise NonConforming(f"edge {edge} is shared by triangles {tris}")
-        # Triangles across a shared edge must lie on opposite sides of it,
-        # otherwise they overlap in area.
-        for (a, b), tris in self.edge_adjacency.items():
-            if len(tris) != 2:
-                continue
-            pa, pb = self.vertices[a], self.vertices[b]
-            sides = []
-            for t in tris:
-                other = [v for v in self.triangles[t] if v != a and v != b][0]
-                po = self.vertices[other]
-                cross = (pb[0] - pa[0]) * (po[1] - pa[1]) - (pb[1] - pa[1]) * (po[0] - pa[0])
-                sides.append(cross)
-            if sides[0] * sides[1] > 0:
-                raise NonConforming(
-                    f"triangles {tris} overlap across edge ({a}, {b})"
-                )
-        # No vertex may sit strictly inside another triangle's edge
-        # (T-junction). O(E * V) scan; mesh sizes here keep this cheap.
+    def _check_t_junctions(self, tol):
+        """No used vertex may sit strictly inside an edge (T-junction),
+        within distance tol of it. O(E * V) scan; mesh sizes here keep
+        this cheap."""
         verts = self.vertices
-        scale = math.sqrt(max(
-            (verts[:, 0].max() - verts[:, 0].min()) ** 2
-            + (verts[:, 1].max() - verts[:, 1].min()) ** 2, 1e-300))
-        tol = 1e-12 * scale
-        idx = np.arange(len(verts))
-        for (a, b), tris in self.edge_adjacency.items():
+        used = np.zeros(len(verts), dtype=bool)
+        used[self.triangles] = True
+        for (a, b), tris in zip(self.edges.tolist(), self.edge_triangles.tolist()):
             pa, pb = verts[a], verts[b]
             d = pb - pa
             L2 = d @ d
             rel = verts - pa
             cross = rel[:, 0] * d[1] - rel[:, 1] * d[0]
             proj = (rel @ d) / L2
-            on_segment = (
+            hits = np.flatnonzero(
                 (np.abs(cross) <= tol * math.sqrt(L2))
                 & (proj > 1e-12)
                 & (proj < 1 - 1e-12)
-                & (idx != a)
-                & (idx != b)
+                & used
             )
-            hits = np.where(on_segment)[0]
-            # only vertices actually used by some triangle matter
-            used = [int(v) for v in hits if np.any(self.triangles == v)]
-            if used:
+            if hits.size:
                 raise NonConforming(
-                    f"vertex {used[0]} lies inside edge ({a}, {b}) of triangles {tris}"
+                    f"vertex {hits[0]} lies inside edge ({a}, {b}) of triangles "
+                    f"{[t for t in tris if t >= 0]}"
                 )
-
-    def barycentric(self, t, points):
-        """Barycentric coordinates of points with respect to triangle t.
-
-        Accepts a single (2,) point or an (n, 2) array; returns (3,) or
-        (n, 3). Coordinates sum to one by construction; points outside the
-        triangle produce negative entries.
-        """
-        return barycentric(self._corners[t], points)
 
     def locate(self, points):
         """Find the triangle containing each point.
@@ -341,33 +319,28 @@ def cell_grid(tr, resolution):
 
 
 def barycentric(tri_coords, points):
-    """Barycentric coordinates of points relative to one triangle.
+    """Barycentric coordinates of points relative to triangles.
 
-    tri_coords is a (3, 2) array of corner coordinates. The third
+    tri_coords is one triangle's (3, 2) corner coordinates, or an
+    (n, 3, 2) array holding the triangle of each of n points. The third
     coordinate is computed as 1 - b1 - b2, so the triple sums to one up
-    to rounding and reproduces the point affinely.
+    to rounding and reproduces the point affinely. A single (2,) point
+    yields a (3,) triple, an (n, 2) array an (n, 3) array.
     """
-    tri_coords = np.asarray(tri_coords, dtype=float)
+    c = np.asarray(tri_coords, dtype=float)
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    t = np.array([
-        [tri_coords[0, 0] - tri_coords[2, 0], tri_coords[1, 0] - tri_coords[2, 0]],
-        [tri_coords[0, 1] - tri_coords[2, 1], tri_coords[1, 1] - tri_coords[2, 1]],
-    ])
-    det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
-    rel = pts - tri_coords[2]
-    b1 = (t[1, 1] * rel[:, 0] - t[0, 1] * rel[:, 1]) / det
-    b2 = (-t[1, 0] * rel[:, 0] + t[0, 0] * rel[:, 1]) / det
+    t11 = c[..., 0, 0] - c[..., 2, 0]
+    t12 = c[..., 1, 0] - c[..., 2, 0]
+    t21 = c[..., 0, 1] - c[..., 2, 1]
+    t22 = c[..., 1, 1] - c[..., 2, 1]
+    det = t11 * t22 - t12 * t21
+    rel = pts - c[..., 2, :]
+    b1 = (t22 * rel[:, 0] - t12 * rel[:, 1]) / det
+    b2 = (-t21 * rel[:, 0] + t11 * rel[:, 1]) / det
     out = np.stack([b1, b2, 1.0 - b1 - b2], axis=1)
     return out[0] if single else out
-
-
-def triangle_area(tri_coords):
-    """Unsigned area of a triangle given its (3, 2) corner coordinates."""
-    d1 = tri_coords[1] - tri_coords[0]
-    d2 = tri_coords[2] - tri_coords[0]
-    return abs(d1[0] * d2[1] - d1[1] * d2[0]) / 2.0
 
 
 def load_mesh(vertices_source, triangles_source):

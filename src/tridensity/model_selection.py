@@ -93,8 +93,8 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
     of every failed fit and flags a best weight on the edge of the grid. A
     grid cell where every fold failed reports +inf and is never selected;
     if the whole grid is +inf, AllFoldsFailed is raised, naming the first
-    cause. An empty grid, or a negative or non-finite weight in it, raises
-    ValueError before any fit.
+    cause. An empty grid, a negative or non-finite weight in it, or a space
+    that does not match tr and spec raises ValueError before any fit.
     """
     lambda_grid = [float(l) for l in lambda_grid]
     if not lambda_grid:
@@ -107,6 +107,8 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
     assign = fold_assignments(n, folds, seed)
     if space is None:
         space = ModelSpace(tr, spec)
+    else:
+        space.check(tr, spec)
 
     data_basis = space.data_basis(pts)  # shared, read-only
     order = np.argsort(lambda_grid, kind="stable")

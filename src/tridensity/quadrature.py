@@ -114,13 +114,13 @@ def integrate_triangle(f, tri_coords, rule):
     f maps an (n, 2) array of points to n values and must be finite at
     every node.
     """
-    from .geometry import triangle_area
-
     tri_coords = np.asarray(tri_coords, dtype=float)
     vals = np.asarray(f(rule.cartesian_nodes(tri_coords)), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteIntegrand("integrand is not finite at a quadrature node")
-    return triangle_area(tri_coords) * float(rule.weights @ vals)
+    (x0, y0), (x1, y1), (x2, y2) = tri_coords
+    area = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)) / 2.0
+    return area * float(rule.weights @ vals)
 
 
 def domain_nodes(tr, rule):

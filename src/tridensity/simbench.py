@@ -28,6 +28,9 @@ from .quadrature import domain_nodes, rule_9
 # estimate the rejection-sampling envelope
 _NORM_RESOLUTION = 512
 
+# coarsest grid, per axis, on which mise scores an estimate
+MIN_MISE_RESOLUTION = 50
+
 
 @dataclass(frozen=True)
 class GaussComponent:
@@ -260,8 +263,7 @@ def mise(estimate, scenario, resolution=100):
     DensityFit. The integral is a Riemann sum over the in-domain cells of
     a resolution x resolution grid covering the bounding box.
     """
-    if resolution < 50:
-        raise ValueError("grid resolution must be at least 50 per axis")
+    _check_resolution(resolution)
     fn = estimate.density if hasattr(estimate, "density") else estimate
     centers, mask, cell = _domain_grid(scenario.domain, resolution)
     est = fn(centers[mask])
@@ -269,6 +271,11 @@ def mise(estimate, scenario, resolution=100):
         est = est[0]
     truth = scenario.density(centers[mask])
     return float(np.sum((np.asarray(est) - truth) ** 2) * cell)
+
+
+def _check_resolution(resolution):
+    if resolution < MIN_MISE_RESOLUTION:
+        raise ValueError(f"grid resolution must be at least {MIN_MISE_RESOLUTION} per axis")
 
 
 # Entries per temporary (512 KB of float64) in the blocked kernel sums: a
@@ -433,9 +440,12 @@ def replication_estimators(scenario, n, rep_seed, methods=("bpst", "kde"),
 
     Returns a dict mapping method name to a fitted estimator (a DensityFit
     or a KernelDensity); a method that raised stores its exception instead.
-    Everything derives deterministically from rep_seed.
+    Everything derives deterministically from rep_seed. A given space must
+    match the scenario's domain and spec (ModelSpace.check).
     """
     spec = spec or SplineSpec(3, 1)
+    if space is not None:
+        space.check(scenario.domain, spec)
     data = sample(scenario, n, rep_seed)
     out = {}
     for method in methods:
@@ -482,10 +492,17 @@ def run_benchmark(scenario, n, reps, methods=("bpst", "kde"), seed=0,
     Replication r derives its seed as seed XOR r, so results are a pure
     function of (scenario, n, reps, seed) and independent of the thread
     count. Failed replications are excluded from the aggregates and
-    reported per method.
+    reported per method. Bad reps, n, folds, lambda_grid values or
+    mise_resolution raise ValueError before any sampling or fitting.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    model_selection.fold_assignments(n, folds, seed)  # checks 2 <= folds <= n
+    for lam in lambda_grid:
+        estimator.FitConfig(lam=lam)
+    _check_resolution(mise_resolution)
     scenario = get_scenario(scenario) if isinstance(scenario, str) else scenario
     spec = spec or SplineSpec(3, 1)
     space = estimator.ModelSpace(scenario.domain, spec) if "bpst" in methods else None

@@ -13,7 +13,6 @@ import numpy as np
 from scipy import linalg, sparse
 
 from . import bernstein
-from .errors import UnsupportedSmoothness
 from .geometry import barycentric
 from .quadrature import conical_rule, rule_9, rule_12
 
@@ -33,23 +32,22 @@ def smoothness_matrix(tr, spec):
     nothing.
     """
     m, r = spec.degree, spec.smoothness
-    if r > m:
-        raise UnsupportedSmoothness(f"smoothness {r} exceeds degree {m}")
     dim = spec.per_triangle_dim
     imap = bernstein._index_map(m)
+    shared = tr.edge_triangles[:, 1] >= 0
+    edges, pairs = tr.edges[shared], tr.edge_triangles[shared]
+    # a triangle's vertex indices are distinct, so the one off the edge is
+    # their sum minus the edge's two
+    off = tr.triangles[pairs].sum(axis=2) - edges.sum(axis=1, keepdims=True)
+    # Relabel t_lo as (off, va, vb) and t_hi as (off~, vb, va); the
+    # off-edge vertex of t_hi expressed in t_lo's barycentric frame drives
+    # the coefficient conditions.
+    frames = tr.vertices[np.column_stack([off[:, 0], edges])]  # (E, 3, 2)
+    abgs = barycentric(frames, tr.vertices[off[:, 1]])
     rows, cols, vals = [], [], []
     row = 0
-    for (va, vb), tris in sorted(tr.edge_adjacency.items()):
-        if len(tris) != 2:
-            continue
-        t_lo, t_hi = sorted(tris)
-        # Relabel t_lo as (off, va, vb) and t_hi as (off~, vb, va); the
-        # off-edge vertex of t_hi expressed in t_lo's barycentric frame
-        # drives the coefficient conditions.
-        off_lo = [int(v) for v in tr.triangles[t_lo] if v != va and v != vb][0]
-        off_hi = [int(v) for v in tr.triangles[t_hi] if v != va and v != vb][0]
-        frame = tr.vertices[[off_lo, va, vb]]
-        abg = barycentric(frame, tr.vertices[off_hi])
+    for (va, vb), (t_lo, t_hi), (off_lo, off_hi), abg in zip(
+            edges.tolist(), pairs.tolist(), off.tolist(), abgs):
         pos_lo = _vertex_positions(tr.triangles[t_lo], (off_lo, va, vb))
         pos_hi = _vertex_positions(tr.triangles[t_hi], (off_hi, vb, va))
         for rho in range(r + 1):

@@ -3,7 +3,7 @@ import inspect
 import types
 
 import tridensity
-from tridensity import estimator, model_selection, simbench, spline_space
+from tridensity import estimator, geometry, model_selection, simbench, spline_space
 
 
 def test_exported_names_resolve_and_exclude_modules():
@@ -17,7 +17,9 @@ def test_exported_names_resolve_and_exclude_modules():
 
 
 def test_removed_helpers_and_options_stay_gone():
-    for module, name in ((estimator, "_hessian_upper"), (model_selection, "cv_error"),
+    mesh = geometry.Triangulation([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
+    for module, name in ((mesh, "edge_adjacency"), (mesh, "barycentric"),
+                         (estimator, "_hessian_upper"), (model_selection, "cv_error"),
                          (spline_space, "roughness"), (spline_space, "dump_coo"),
                          (simbench, "kde_baseline")):
         assert not hasattr(module, name), name

@@ -193,6 +193,40 @@ def test_fit_negative_grid_exit2(tmp_path, data_csv, capsys, monkeypatch):
     ], "ValidationError")
 
 
+def _no_model_space(monkeypatch):
+    def no_space(self, *args, **kwargs):
+        raise AssertionError("ModelSpace built")
+
+    monkeypatch.setattr(cli.estimator.ModelSpace, "__init__", no_space)
+
+
+@pytest.mark.parametrize("flags", [["--lambda", "nan"], ["--lambda-grid", "1e-3,nan"],
+                                   ["--lambda-grid", "default", "--folds", "1"],
+                                   ["--lambda-grid", "default", "--folds", "301"]])
+def test_fit_rejects_bad_weight_or_folds_before_space(tmp_path, data_csv, capsys,
+                                                     monkeypatch, flags):
+    _no_model_space(monkeypatch)
+    _rejected(tmp_path, capsys, [
+        "fit", "--bundled-mesh", "square_unit_32", "--data", data_csv, *flags,
+    ], "ValueError")
+
+
+@pytest.mark.parametrize("flags", [["--n", "0"], ["--folds", "1"], ["--folds", "61"],
+                                   ["--grid", "10"]])
+def test_simulate_rejects_bad_input_before_space(tmp_path, capsys, monkeypatch, flags):
+    def no_sample(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    _no_model_space(monkeypatch)
+    monkeypatch.setattr(cli.simbench, "sample", no_sample)
+    argv = {"--n": "60", "--folds": "5", "--grid": "60"}
+    argv.update(zip(flags[::2], flags[1::2]))
+    _rejected(tmp_path, capsys, [
+        "simulate", "--scenario", "sim2", "--reps", "1",
+        *[tok for kv in argv.items() for tok in kv],
+    ], "ValueError")
+
+
 def test_density_roundtrip(tmp_path, data_csv):
     fitdir = tmp_path / "fit"
     assert cli.main([

@@ -262,6 +262,22 @@ def test_fit_requires_points(unit32_space):
         fit(unit32_space.tr, np.empty((0, 2)), FitConfig(), space=unit32_space)
 
 
+def test_fit_rejects_space_of_other_mesh_or_spec(unit32_space, square2):
+    from tridensity.assets import mesh_paths
+    from tridensity.geometry import load_mesh
+
+    pts = uniform_points(100)
+    with pytest.raises(ValueError, match="different mesh"):
+        fit(square2, pts, FitConfig(lam=1e-3), space=unit32_space)
+    with pytest.raises(ValueError, match="built for"):
+        fit(unit32_space.tr, pts, FitConfig(spec=SplineSpec(2, 1), lam=1e-3),
+            space=unit32_space)
+    reloaded = load_mesh(*mesh_paths("square_unit_32"))
+    assert reloaded is not unit32_space.tr
+    f = fit(reloaded, pts, FitConfig(lam=1e-3), space=unit32_space)
+    assert f.converged
+
+
 def test_did_not_converge_carries_iterate(unit32_space, monkeypatch):
     starve_newton(monkeypatch, 1, 1e-14, 1e-16)
     with pytest.raises(DidNotConverge) as err:

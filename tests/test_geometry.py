@@ -31,8 +31,8 @@ def test_load_mesh_square(tmp_path):
     tp.write_text("v1,v2,v3\n0,1,2\n0,2,3\n")
     tr = load_mesh(vp, tp)
     assert tr.n_triangles == 2
-    interior = [e for e, ts in tr.edge_adjacency.items() if len(ts) == 2]
-    assert interior == [(0, 2)]
+    assert tr.edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [2, 3]]
+    assert tr.edge_triangles.tolist() == [[0, -1], [0, 1], [1, -1], [0, -1], [1, -1]]
     assert tr.area == pytest.approx(1.0)
 
 
@@ -125,7 +125,9 @@ def test_locate_then_barycentric_consistent(unit32, rng):
     idx = unit32.locate(pts)
     assert np.all(idx >= 0)
     for p, t in zip(pts, idx):
-        assert unit32.barycentric(int(t), p).min() >= -geometry.TOL_LOCATE
+        assert barycentric(unit32.triangle_coords(t), p).min() >= -geometry.TOL_LOCATE
+    bary = barycentric(unit32.triangle_coords(idx), pts)  # one triangle per point
+    assert bary.shape == (200, 3) and bary.min() >= -geometry.TOL_LOCATE
 
 
 def _scan_locate(tr, points, tol=geometry.TOL_LOCATE):

@@ -66,6 +66,22 @@ def test_select_lambda_rejects_bad_grid_before_fitting(unit32, rng, monkeypatch,
         select_lambda(unit32, rng.random((40, 2)), SplineSpec(3, 1), [1e-3, bad], folds=4)
 
 
+def test_select_lambda_rejects_space_of_other_mesh_or_spec(unit32, square2, rng):
+    from tridensity.assets import mesh_paths
+    from tridensity.geometry import load_mesh
+
+    pts = rng.random((40, 2))
+    space = ModelSpace(square2, SplineSpec(2, 1))
+    with pytest.raises(ValueError, match="different mesh"):
+        select_lambda(unit32, pts, SplineSpec(2, 1), [1e-3], folds=4, space=space)
+    with pytest.raises(ValueError, match="built for"):
+        select_lambda(square2, pts, SplineSpec(3, 1), [1e-3], folds=4, space=space)
+    reloaded = load_mesh(*mesh_paths("square_unit_32"))
+    space = ModelSpace(unit32, SplineSpec(2, 1))
+    report = select_lambda(reloaded, pts, SplineSpec(2, 1), [1e-3], folds=4, space=space)
+    assert np.isfinite(report.cv_errors[0])
+
+
 def test_cv_error_deterministic(unit32, rng):
     pts = rng.random((80, 2))
     spec = SplineSpec(3, 1)

@@ -330,6 +330,47 @@ def test_replication_estimators_types():
     assert callable(est["kde"])
 
 
+def test_replication_estimators_rejects_space_of_other_mesh_or_spec(square2, monkeypatch):
+    from tridensity import estimator, simbench
+    from tridensity.bernstein import SplineSpec
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    scen = scenario_sim1()
+    monkeypatch.setattr(simbench, "sample", no_sample)
+    with pytest.raises(ValueError, match="different mesh"):
+        replication_estimators(scen, 60, 12, folds=5,
+                               space=estimator.ModelSpace(square2, SplineSpec(3, 1)))
+    with pytest.raises(ValueError, match="built for"):
+        replication_estimators(scen, 60, 12, spec=SplineSpec(2, 1), folds=5,
+                               space=estimator.ModelSpace(scen.domain, SplineSpec(3, 1)))
+
+
+@pytest.mark.parametrize("kwargs", [{"n": 0}, {"folds": 1}, {"folds": 61},
+                                    {"mise_resolution": 49},
+                                    {"lambda_grid": [1e-3, float("nan")]}])
+def test_run_benchmark_rejects_bad_input_before_fitting(kwargs, monkeypatch):
+    from tridensity import estimator, simbench
+
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled or built a space")
+
+    monkeypatch.setattr(simbench, "sample", fail)
+    monkeypatch.setattr(estimator.ModelSpace, "__init__", fail)
+    args = {"n": 60, "folds": 5, "mise_resolution": 60, **kwargs}
+    with pytest.raises(ValueError):
+        run_benchmark("sim2", args.pop("n"), 1, **args)
+
+
+def test_mise_rejects_coarse_grid():
+    from tridensity.simbench import MIN_MISE_RESOLUTION
+
+    assert MIN_MISE_RESOLUTION == 50
+    with pytest.raises(ValueError, match="at least 50"):
+        mise(lambda p: np.ones(len(p)), scenario_sim1(), 49)
+
+
 def test_get_scenario_validation():
     assert get_scenario("sim2").name == "sim2"
     with pytest.raises(KeyError):

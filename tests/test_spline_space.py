@@ -4,7 +4,6 @@ from scipy import sparse
 
 from tridensity import bernstein
 from tridensity.bernstein import SplineSpec, interpolate_function
-from tridensity.errors import UnsupportedSmoothness
 from tridensity.geometry import Triangulation, barycentric
 from tridensity.quadrature import conical_rule, integrate_domain
 from tridensity.spline_space import (
@@ -29,7 +28,9 @@ def piece_value(tr, spec, gamma, t, pts, orders=(0, 0)):
 
 
 def interior_edges(tr):
-    return [(e, ts) for e, ts in sorted(tr.edge_adjacency.items()) if len(ts) == 2]
+    shared = tr.edge_triangles[:, 1] >= 0
+    return [(tuple(e), tuple(ts)) for e, ts in
+            zip(tr.edges[shared].tolist(), tr.edge_triangles[shared].tolist())]
 
 
 def edge_points(tr, edge, k=10):
@@ -174,14 +175,6 @@ def test_nullspace_copies_its_input_and_matches_plain_svd(unit32):
             assert np.array_equal(given, before)
     basis, rank = nullspace(np.array([[1, -1]]))  # integer input
     assert rank == 1 and basis.dtype == float
-
-
-def test_unsupported_smoothness(square2):
-    spec = SplineSpec.__new__(SplineSpec)
-    object.__setattr__(spec, "degree", 1)
-    object.__setattr__(spec, "smoothness", 2)
-    with pytest.raises(UnsupportedSmoothness):
-        smoothness_matrix(square2, spec)
 
 
 def test_penalty_linear_null(square2, rng):
