@@ -66,7 +66,7 @@ from .simbench import (
     scenario_sim2,
     scenario_sim3,
 )
-from .spline_space import ConstraintSystem, build_constraints, nullspace, penalty_matrix, smoothness_matrix
+from .spline_space import nullspace, penalty_matrix, smoothness_matrix
 
 __version__ = "0.1.0"
 
@@ -83,6 +83,5 @@ __all__ = [
     "QuadRule", "conical_rule", "integrate_domain", "integrate_triangle", "rule_9",
     "rule_12", "KernelDensity", "MiseResult", "Scenario", "get_scenario",
     "mise", "run_benchmark", "sample", "scenario_sim1", "scenario_sim2",
-    "scenario_sim3", "ConstraintSystem", "build_constraints", "nullspace",
-    "penalty_matrix", "smoothness_matrix",
+    "scenario_sim3", "nullspace", "penalty_matrix", "smoothness_matrix",
 ]

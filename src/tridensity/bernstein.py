@@ -110,27 +110,28 @@ def _raising_tables(m):
 
 
 def _raise_derivative(mu, direction, low_vals):
-    """Apply one directional-derivative step from degree mu-1 values."""
+    """Apply one directional-derivative step from degree mu-1 values, for
+    one triangle's (3,) direction or N triangles' (N, 3) directions."""
     tables = _raising_tables(mu)
-    n = low_vals.shape[0]
-    padded = np.concatenate([low_vals, np.zeros((n, 1))], axis=1)  # -1 -> 0
-    out = np.zeros((n, len(index_set(mu))))
-    for d_l, table in zip(direction, tables):
-        if d_l != 0.0:
-            out += d_l * padded[:, table]
+    padded = np.concatenate([low_vals, np.zeros(low_vals.shape[:-1] + (1,))], axis=-1)  # -1 -> 0
+    out = 0.0
+    for d_l, table in zip(np.moveaxis(direction, -1, 0)[..., None, None], tables):
+        out = out + d_l * padded[..., table]
     return mu * out
 
 
 def barycentric_gradients(tri_coords):
     """Cartesian gradients of the three barycentric forms of a triangle.
 
-    Returns (db/dx, db/dy), each a length-3 vector; both are constant over
-    the triangle.
+    tri_coords is one triangle's (3, 2) corners or an (N, 3, 2) stack.
+    Returns (db/dx, db/dy), each (3,) or (N, 3); both are constant over
+    each triangle.
     """
-    (x1, y1), (x2, y2), (x3, y3) = np.asarray(tri_coords, dtype=float)
-    det = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
-    dbdx = np.array([y2 - y3, y3 - y1, y1 - y2]) / det
-    dbdy = np.array([x3 - x2, x1 - x3, x2 - x1]) / det
+    c = np.asarray(tri_coords, dtype=float)
+    (x1, y1), (x2, y2), (x3, y3) = np.moveaxis(c, (-2, -1), (0, 1))
+    det = ((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))[..., None]
+    dbdx = np.stack([y2 - y3, y3 - y1, y1 - y2], axis=-1) / det
+    dbdy = np.stack([x3 - x2, x1 - x3, x2 - x1], axis=-1) / det
     return dbdx, dbdy
 
 
@@ -140,6 +141,9 @@ def derivative(m, tri_coords, orders, bary):
     orders = (ax, ay) selects d^ax/dx^ax d^ay/dy^ay. The derivative is
     exact: barycentric lowering recursion composed with the constant
     Jacobian of the barycentric forms. Orders beyond m return zeros.
+    tri_coords is one triangle's (3, 2) corners, giving (dim,) for a (3,)
+    triple and (n, dim) for (n, 3) triples, or an (N, 3, 2) stack, giving
+    (N, dim) or (N, n, dim), the same points in each triangle.
     """
     ax, ay = orders
     if ax < 0 or ay < 0:
@@ -148,17 +152,17 @@ def derivative(m, tri_coords, orders, bary):
     single = b.ndim == 1
     b = np.atleast_2d(b)
     total = ax + ay
-    dim = len(index_set(m))
-    if total > m:
-        out = np.zeros((len(b), dim))
-        return out[0] if single else out
     dbdx, dbdy = barycentric_gradients(tri_coords)
-    vals = evaluate(m - total, b)
-    directions = [dbdx] * ax + [dbdy] * ay
-    for step in range(total):
-        mu = m - total + 1 + step
-        vals = _raise_derivative(mu, directions[step], vals)
-    return vals[0] if single else vals
+    shape = dbdx.shape[:-1] + (len(b), len(index_set(m)))
+    if total > m:
+        vals = np.zeros(shape)
+    else:
+        vals = evaluate(m - total, b)
+        for step, direction in enumerate([dbdx] * ax + [dbdy] * ay):
+            vals = _raise_derivative(m - total + 1 + step, direction, vals)
+        if vals.shape != shape:  # order 0 on a stack of triangles
+            vals = np.broadcast_to(vals, shape).copy()
+    return vals[..., 0, :] if single else vals
 
 
 @dataclass

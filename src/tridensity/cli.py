@@ -337,6 +337,9 @@ def cmd_density(args):
             raise ValidationError(f"missing fit artifact {p}")
     with open(report_path) as fh:
         report = json.load(fh)
+    mesh = _mesh_summary(tr)  # JSON floats round-trip, so the fit's mesh compares equal
+    if mesh != report.get("mesh"):
+        raise ValidationError(f"mesh {mesh} is not the fit's, {report.get('mesh')}")
     spec = SplineSpec(report["spec"]["m"], report["spec"]["r"])
     gamma = _read_coefficients(coeff_path, tr, spec)
     if args.grid < 1:

@@ -17,11 +17,11 @@ import numpy as np
 from scipy import linalg
 from scipy.linalg import blas
 
-from . import bernstein
+from . import bernstein, spline_space
 from .bernstein import SplineSpec, evaluation_matrix
 from .errors import DidNotConverge, PointOutsideDomain, SingularSystem
 from .quadrature import domain_nodes, rule_9
-from .spline_space import build_constraints, penalty_matrix
+from .spline_space import penalty_matrix
 
 # Linear predictors are capped here before exponentiation; an objective
 # whose predictor exceeds the cap is treated as +inf by the line search.
@@ -79,10 +79,9 @@ class ModelSpace:
         self.tr = tr
         self.spec = spec
         self.rule = rule_9()
-        self.constraints = build_constraints(tr, spec)
-        self.penalty = penalty_matrix(tr, spec)
-        basis = self.constraints.basis
-        self.reduced_penalty = basis.T @ (self.penalty @ basis)
+        # through the module, where a tracer wraps them
+        self.basis = basis = spline_space.nullspace(spline_space.smoothness_matrix(tr, spec))[0]
+        self.reduced_penalty = basis.T @ (penalty_matrix(tr, spec) @ basis)
         self.reduced_penalty = (self.reduced_penalty + self.reduced_penalty.T) / 2.0
 
         n_q = len(self.rule.weights)
@@ -105,7 +104,7 @@ class ModelSpace:
 
     @property
     def n_free(self):
-        return self.constraints.n_free
+        return self.basis.shape[1]
 
     def check(self, tr, spec):
         """Raise ValueError unless this space was built for spec on tr, or
@@ -119,10 +118,10 @@ class ModelSpace:
     def data_basis(self, points):
         """Reduced-basis design matrix at data points (dense rows)."""
         ev = evaluation_matrix(self.tr, self.spec, points)
-        return ev.matrix @ self.constraints.basis
+        return ev.matrix @ self.basis
 
     def gamma(self, theta):
-        return self.constraints.basis @ theta
+        return self.basis @ theta
 
     def integral_exp(self, theta):
         """Quadrature value of integral exp(g_theta) over the domain."""

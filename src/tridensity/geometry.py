@@ -26,8 +26,8 @@ TOL_LOCATE = 1e-10
 # its diameter; the pad leaves three orders of magnitude above that.
 _BUCKET_PAD = 1e4 * TOL_LOCATE
 
-# About this many grid cells per triangle; locate works in chunks of
-# _LOCATE_CHUNK points to bound its temporaries.
+# About this many grid cells per triangle; locate and the T-junction scan
+# work in chunks of _LOCATE_CHUNK points to bound their temporaries.
 _CELLS_PER_TRIANGLE = 8
 _LOCATE_CHUNK = 5000
 
@@ -119,13 +119,13 @@ class Triangulation:
         self._inv_maps = np.moveaxis(np.array([[t22, -t12], [-t21, t11]]) / det, -1, 0)
         self._v3 = corners[:, 2]
 
-        self._build_edges()
-        self._check_t_junctions(1e-12 * math.sqrt(scale2))
+        self._buckets = _BucketGrid(self)  # point location and the T-junction scan
+        triangle_edges = self._build_edges()
+        self._check_t_junctions(triangle_edges, 1e-12 * math.sqrt(scale2))
         self._vertex_to_triangles = {}
         for t, tri in enumerate(self.triangles):
             for v in tri:
                 self._vertex_to_triangles.setdefault(int(v), []).append(t)
-        self._buckets = None  # point-location grid, built by the first locate
 
     @property
     def n_triangles(self):
@@ -154,7 +154,8 @@ class Triangulation:
         edge_triangles (E, 2): the triangles on each edge, ascending, -1
         second on the boundary. With every triangle counterclockwise, a
         directed edge that occurs twice means two triangles on the same
-        side of an edge (an overlap) or an edge on three or more."""
+        side of an edge (an overlap) or an edge on three or more. Returns
+        the (N, 3) edge indices of each triangle."""
         directed = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)  # 3 per triangle
         forward = directed[:, 0] < directed[:, 1]
         self.edges, first, inverse, counts = np.unique(
@@ -181,32 +182,41 @@ class Triangulation:
         self.edge_triangles[shared, 1] = by_edge[start[shared] + 1]
         self.edges.setflags(write=False)
         self.edge_triangles.setflags(write=False)
+        return inverse.reshape(-1, 3)
 
-    def _check_t_junctions(self, tol):
+    def _check_t_junctions(self, triangle_edges, tol):
         """No used vertex may sit strictly inside an edge (T-junction),
-        within distance tol of it. O(E * V) scan; mesh sizes here keep
-        this cheap."""
-        verts = self.vertices
-        used = np.zeros(len(verts), dtype=bool)
-        used[self.triangles] = True
-        for (a, b), tris in zip(self.edges.tolist(), self.edge_triangles.tolist()):
-            pa, pb = verts[a], verts[b]
+        within distance tol of it. Such a vertex lies in the padded box of
+        every triangle on the edge, so it is tested only against the edges
+        of the triangles its bucket-grid cell lists. Reports the first such
+        edge, with its lowest vertex."""
+        used = np.unique(self.triangles)
+        grid = self._buckets
+        hits = []
+        for lo in range(0, len(used), _LOCATE_CHUNK):
+            chunk = used[lo:lo + _LOCATE_CHUNK]
+            rows, cells = grid.cells_of(self.vertices[chunk])
+            candidates = grid.triangles[cells]  # (n, K), -1 padded
+            listed = candidates >= 0
+            v = np.broadcast_to(chunk[rows][:, None], candidates.shape)[listed]
+            e = triangle_edges[candidates[listed]]  # (pairs, 3)
+            v, e = np.repeat(v, 3), e.ravel()
+            pa, pb = self.vertices[self.edges[e, 0]], self.vertices[self.edges[e, 1]]
             d = pb - pa
-            L2 = d @ d
-            rel = verts - pa
-            cross = rel[:, 0] * d[1] - rel[:, 1] * d[0]
-            proj = (rel @ d) / L2
-            hits = np.flatnonzero(
-                (np.abs(cross) <= tol * math.sqrt(L2))
-                & (proj > 1e-12)
-                & (proj < 1 - 1e-12)
-                & used
+            L2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+            rel = self.vertices[v] - pa
+            cross = rel[:, 0] * d[:, 1] - rel[:, 1] * d[:, 0]
+            proj = (rel[:, 0] * d[:, 0] + rel[:, 1] * d[:, 1]) / L2
+            inside = (np.abs(cross) <= tol * np.sqrt(L2)) & (proj > 1e-12) & (proj < 1 - 1e-12)
+            hits.append(np.column_stack([e[inside], v[inside]]))
+        hits = np.concatenate(hits)
+        if len(hits):
+            e, v = hits[np.lexsort(hits.T[::-1])[0]].tolist()  # first edge, lowest vertex
+            a, b = self.edges[e].tolist()
+            raise NonConforming(
+                f"vertex {v} lies inside edge ({a}, {b}) of triangles "
+                f"{[t for t in self.edge_triangles[e].tolist() if t >= 0]}"
             )
-            if hits.size:
-                raise NonConforming(
-                    f"vertex {hits[0]} lies inside edge ({a}, {b}) of triangles "
-                    f"{[t for t in tris if t >= 0]}"
-                )
 
     def locate(self, points):
         """Find the triangle containing each point.
@@ -218,16 +228,13 @@ class Triangulation:
         or None; an (n, 2) array yields an int64 array.
 
         Each point is tested only against the candidates of its cell in a
-        bucket grid over the bounding box, built on the first call; the
+        bucket grid over the bounding box, built with the mesh; the
         candidates are in ascending index order, so the first one that
         passes is the lowest-indexed containing triangle.
         """
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
-        if self._buckets is None:
-            # a concurrent first call builds an identical grid; either wins
-            self._buckets = _BucketGrid(self)
         grid = self._buckets
         found = np.full(len(pts), -1, dtype=np.int64)
         for lo in range(0, len(pts), _LOCATE_CHUNK):

@@ -7,7 +7,7 @@ The roughness of a coefficient vector is a quadratic form whose matrix is
 block diagonal over triangles.
 """
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import linalg, sparse
@@ -31,9 +31,8 @@ def smoothness_matrix(tr, spec):
     Edges of boundary holes border a single triangle and contribute
     nothing.
     """
-    m, r = spec.degree, spec.smoothness
+    m = spec.degree
     dim = spec.per_triangle_dim
-    imap = bernstein._index_map(m)
     shared = tr.edge_triangles[:, 1] >= 0
     edges, pairs = tr.edges[shared], tr.edge_triangles[shared]
     # a triangle's vertex indices are distinct, so the one off the edge is
@@ -42,46 +41,53 @@ def smoothness_matrix(tr, spec):
     # Relabel t_lo as (off, va, vb) and t_hi as (off~, vb, va); the
     # off-edge vertex of t_hi expressed in t_lo's barycentric frame drives
     # the coefficient conditions.
-    frames = tr.vertices[np.column_stack([off[:, 0], edges])]  # (E, 3, 2)
-    abgs = barycentric(frames, tr.vertices[off[:, 1]])
-    rows, cols, vals = [], [], []
-    row = 0
-    for (va, vb), (t_lo, t_hi), (off_lo, off_hi), abg in zip(
-            edges.tolist(), pairs.tolist(), off.tolist(), abgs):
-        pos_lo = _vertex_positions(tr.triangles[t_lo], (off_lo, va, vb))
-        pos_hi = _vertex_positions(tr.triangles[t_hi], (off_hi, vb, va))
-        for rho in range(r + 1):
-            weights = bernstein.evaluate(rho, abg)
-            rho_set = bernstein.index_set(rho)
-            for j in range(m - rho, -1, -1):
-                k = m - rho - j
-                for (nu, mu, ka), w in zip(rho_set, np.atleast_1d(weights)):
-                    d = _storage_index((nu, k + mu, j + ka), pos_lo)
-                    rows.append(row)
-                    cols.append(t_lo * dim + imap[d])
-                    vals.append(float(w))
-                d = _storage_index((rho, j, k), pos_hi)
-                rows.append(row)
-                cols.append(t_hi * dim + imap[d])
-                vals.append(-1.0)
-                row += 1
+    relabeled = np.stack([np.column_stack([off[:, 0], edges]),
+                          np.column_stack([off[:, 1], edges[:, ::-1]])], axis=1)  # (E, 2, 3)
+    abgs = barycentric(tr.vertices[relabeled[:, 0]], tr.vertices[off[:, 1]])
+    template = _edge_template(m, spec.smoothness)
+    side, exponents, weight, row = template[:, 0], template[:, 1:4], template[:, 4], template[:, 5]
+    n_rows = row[-1] + 1
+    # where each triangle stores each relabeled corner, and so each entry's
+    # exponents in stored order
+    stored = tr.triangles[pairs]  # (E, 2, 3)
+    positions = np.argmax(stored[:, :, None, :] == relabeled[:, :, :, None], axis=3)
+    d = np.zeros((len(edges), len(side), 3), dtype=np.int64)
+    np.put_along_axis(d, positions[:, side], exponents[None], axis=2)
+    i, j = d[..., 0], d[..., 1]
+    cols = pairs[:, side] * dim + (m - i) * (m - i + 1) // 2 + (m - i - j)
+    # the weights of every order, then the -1 of t_hi's coefficient last
+    weights = np.column_stack(
+        [bernstein.evaluate(rho, abgs) for rho in range(spec.smoothness + 1)]
+        + [-np.ones(len(edges))])
+    rows = np.arange(len(edges))[:, None] * n_rows + row
     return sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(row, spec.dimension(tr))
+        (weights[:, weight].ravel(), (rows.ravel(), cols.ravel())),
+        shape=(len(edges) * n_rows, spec.dimension(tr)),
     )
 
 
-def _vertex_positions(stored, relabeled):
-    """Position of each relabeled vertex inside the stored triple."""
-    stored = [int(v) for v in stored]
-    return tuple(stored.index(v) for v in relabeled)
+@lru_cache(maxsize=None)
+def _edge_template(m, r):
+    """The entries of one shared edge's rows, which depend on (m, r) only.
 
-
-def _storage_index(exponents, positions):
-    """Map relabeled exponents back to the stored vertex order."""
-    d = [0, 0, 0]
-    for e, p in zip(exponents, positions):
-        d[p] = e
-    return tuple(d)
+    Row (rho, j) equates the t_lo coefficients (nu, k + mu, j + ka),
+    weighted by the degree-rho basis at t_hi's off-edge vertex, with the
+    t_hi coefficient (rho, j, k), k = m - rho - j, exponents over the
+    relabeled corners. One line per entry: the triangle (0 for t_lo, 1
+    for t_hi), the exponents, the weight column (-1: t_hi's -1), the row.
+    """
+    entries, n_rows = [], 0
+    for rho in range(r + 1):
+        first = rho * (rho + 1) * (rho + 2) // 6  # weight columns of lower orders
+        for j in range(m - rho, -1, -1):
+            k = m - rho - j
+            entries += [(0, nu, k + mu, j + ka, first + p, n_rows)
+                        for p, (nu, mu, ka) in enumerate(bernstein.index_set(rho))]
+            entries.append((1, rho, j, k, -1, n_rows))
+            n_rows += 1
+    template = np.array(entries)
+    template.setflags(write=False)  # shared by every caller through the cache
+    return template
 
 
 def nullspace(h):
@@ -106,26 +112,6 @@ def nullspace(h):
     return vt[rank:].T.copy(), rank
 
 
-@dataclass
-class ConstraintSystem:
-    """Smoothness matrix with its rank and null-space basis."""
-
-    matrix: sparse.csr_matrix
-    rank: int
-    basis: np.ndarray  # (dimension, dimension - rank), column orthonormal
-
-    @property
-    def n_free(self):
-        return self.basis.shape[1]
-
-
-def build_constraints(tr, spec):
-    """Assemble the smoothness system and factor out its null space."""
-    h = smoothness_matrix(tr, spec)
-    basis, rank = nullspace(h)
-    return ConstraintSystem(matrix=h, rank=rank, basis=basis)
-
-
 def penalty_matrix(tr, spec):
     """Second-order roughness matrix, block diagonal over triangles.
 
@@ -135,7 +121,6 @@ def penalty_matrix(tr, spec):
     that exactness makes assembly exact; linear pieces have zero energy.
     """
     m = spec.degree
-    dim = spec.per_triangle_dim
     n = spec.dimension(tr)
     if m < 2:
         return sparse.csr_matrix((n, n))
@@ -146,17 +131,16 @@ def penalty_matrix(tr, spec):
         rule = rule_12()
     else:
         rule = conical_rule(needed)
-    w = rule.weights
-    blocks = []
-    for t in range(tr.n_triangles):
-        coords = tr.triangle_coords(t)
-        dxx = bernstein.derivative(m, coords, (2, 0), rule.nodes)
-        dxy = bernstein.derivative(m, coords, (1, 1), rule.nodes)
-        dyy = bernstein.derivative(m, coords, (0, 2), rule.nodes)
-        block = tr.areas[t] * (
-            (dxx * w[:, None]).T @ dxx
-            + 2.0 * (dxy * w[:, None]).T @ dxy
-            + (dyy * w[:, None]).T @ dyy
-        )
-        blocks.append((block + block.T) / 2.0)
-    return sparse.block_diag(blocks, format="csr")
+    w = rule.weights[:, None]
+    corners = tr.triangle_coords(np.arange(tr.n_triangles))
+    dxx, dxy, dyy = (bernstein.derivative(m, corners, orders, rule.nodes)
+                     for orders in ((2, 0), (1, 1), (0, 2)))  # (N, nodes, dim) each
+    weighted = lambda d: (d * w).transpose(0, 2, 1)
+    blocks = tr.areas[:, None, None] * (
+        weighted(dxx) @ dxx
+        + 2.0 * weighted(dxy) @ dxy
+        + weighted(dyy) @ dyy
+    )
+    blocks = (blocks + blocks.transpose(0, 2, 1)) / 2.0
+    diagonal = np.arange(tr.n_triangles + 1)
+    return sparse.bsr_matrix((blocks, diagonal[:-1], diagonal), shape=(n, n)).tocsr()

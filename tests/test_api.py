@@ -11,7 +11,7 @@ def test_exported_names_resolve_and_exclude_modules():
         assert not isinstance(getattr(tridensity, name), types.ModuleType), name
     assert len(set(tridensity.__all__)) == len(tridensity.__all__)
     for gone in ("GridIndex", "FoldFitFailed", "eval_density", "cv_error", "kde_baseline",
-                 "roughness", "dump_coo"):
+                 "roughness", "dump_coo", "ConstraintSystem", "build_constraints"):
         assert gone not in tridensity.__all__
         assert not hasattr(tridensity, gone)
 
@@ -21,8 +21,13 @@ def test_removed_helpers_and_options_stay_gone():
     for module, name in ((mesh, "edge_adjacency"), (mesh, "barycentric"),
                          (estimator, "_hessian_upper"), (model_selection, "cv_error"),
                          (spline_space, "roughness"), (spline_space, "dump_coo"),
+                         (spline_space, "ConstraintSystem"), (spline_space, "build_constraints"),
+                         (spline_space, "_vertex_positions"), (spline_space, "_storage_index"),
                          (simbench, "kde_baseline")):
         assert not hasattr(module, name), name
+    space = estimator.ModelSpace(mesh, estimator.FitConfig().spec)
+    for gone in ("constraints", "penalty"):
+        assert not hasattr(space, gone), gone
     assert [f.name for f in dataclasses.fields(estimator.FitConfig)] == ["spec", "lam"]
     assert [f.name for f in dataclasses.fields(simbench.SkewNormalComponent)] == [
         "xi", "omega", "alpha", "weight"]

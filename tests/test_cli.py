@@ -271,6 +271,43 @@ def test_density_flags_outside_cells(tmp_path):
             assert float(v) == 0.0
 
 
+@pytest.mark.parametrize("change", ["scaled", "moved"])
+def test_density_rejects_another_mesh(tmp_path, data_csv, capsys, change):
+    """density evaluates a fit only on the mesh it was fitted on: a mesh with
+    the same triangles but other vertices gives exit 2 and no file. (A
+    relabelled copy of the fit's mesh is not detected.)"""
+    from tridensity.assets import mesh_paths
+    from tridensity.geometry import load_mesh, mesh_quality
+
+    verts_path, tris_path = mesh_paths("square_unit_32")
+    fitdir = tmp_path / "fit"
+    assert cli.main([
+        "fit", "--bundled-mesh", "square_unit_32", "--data", data_csv,
+        "--lambda", "1e-3", "--out", str(fitdir),
+    ]) == 0
+    tr = load_mesh(verts_path, tris_path)
+    verts = tr.vertices * 2.0 if change == "scaled" else tr.vertices.copy()
+    if change == "moved":  # an interior vertex, off the longest edges
+        inner = np.flatnonzero(np.all((verts > 0.05) & (verts < 0.95), axis=1))[0]
+        verts[inner] += 1e-3
+    other = tmp_path / "other.csv"
+    write_points(other, verts)
+    q, q_other = mesh_quality(tr), mesh_quality(load_mesh(other, tris_path))
+    assert (q.mesh_size, q.beta_ratio) != (q_other.mesh_size, q_other.beta_ratio)
+    capsys.readouterr()
+    dens = tmp_path / "dens.csv"
+    assert cli.main([
+        "density", "--mesh-vertices", str(other), "--mesh-triangles", str(tris_path),
+        "--fit-dir", str(fitdir), "--grid", "20", "--out", str(dens),
+    ]) == 2
+    assert not dens.exists()
+    assert "ValidationError" in capsys.readouterr().err
+    assert cli.main([
+        "density", "--mesh-vertices", str(verts_path), "--mesh-triangles", str(tris_path),
+        "--fit-dir", str(fitdir), "--grid", "20", "--out", str(dens),
+    ]) == 0
+
+
 def test_density_missing_artifacts(tmp_path, capsys):
     code = cli.main([
         "density", "--bundled-mesh", "square_unit_32",

@@ -134,8 +134,8 @@ def test_objective_prefers_uniform_log_density():
     pts = sample(scen, 100, 4)
     work = make_workspace(space, pts, lam=0.0)
     zero = objective(np.zeros(space.n_free), work)
-    const = space.constraints.basis.T @ np.full(
-        space.constraints.basis.shape[0], np.log(1.0 / scen.domain.area)
+    const = space.basis.T @ np.full(
+        space.basis.shape[0], np.log(1.0 / scen.domain.area)
     )
     assert objective(const, work) < zero
     assert zero == pytest.approx(scen.domain.area)
@@ -190,8 +190,8 @@ def test_gradient_of_exponential_term_is_basis_integral(unit32_space):
 
     space = unit32_space
     tr = space.tr
-    const = space.constraints.basis.T @ np.full(
-        space.constraints.basis.shape[0], np.log(1.0 / tr.area)
+    const = space.basis.T @ np.full(
+        space.basis.shape[0], np.log(1.0 / tr.area)
     )
     work = estimator.Workspace(space=space, data_mean=np.zeros(space.n_free), lam=0.0)
     grad = gradient(const, work)
@@ -203,7 +203,7 @@ def test_gradient_of_exponential_term_is_basis_integral(unit32_space):
     integrals = np.zeros(space.spec.dimension(tr))
     for t in range(tr.n_triangles):
         integrals[t * dim:(t + 1) * dim] = tr.areas[t] * (rule.weights @ local)
-    expected = (space.constraints.basis.T @ integrals) / tr.area
+    expected = (space.basis.T @ integrals) / tr.area
     assert np.abs(grad - expected).max() <= 1e-12
 
 
@@ -579,3 +579,24 @@ def test_newton_calls_the_traced_names(horseshoe_space, monkeypatch):
     counts.update(dict.fromkeys(counts, 0))
     select_lambda(space.tr, pts, space.spec, [1e-3], folds=2, space=space)
     assert all(counts.values()), counts
+
+
+def test_model_space_calls_the_traced_names(unit32, monkeypatch):
+    """ModelSpace looks the smoothness matrix and null space up through the
+    spline_space module and the penalty matrix as an estimator module
+    global, where a tracer wraps them: each runs once per space."""
+    from tridensity import spline_space
+
+    counts = {}
+    for module, name in ((spline_space, "smoothness_matrix"), (spline_space, "nullspace"),
+                         (estimator, "penalty_matrix")):
+        def counted(*args, name=name, real=getattr(module, name)):
+            counts[name] += 1
+            return real(*args)
+
+        counts[name] = 0
+        monkeypatch.setattr(module, name, counted)
+    for n_spaces in (1, 2):
+        space = ModelSpace(unit32, SplineSpec(3, 1))
+        assert counts == dict.fromkeys(counts, n_spaces)
+    assert space.n_free == space.basis.shape[1] > 0

@@ -1,11 +1,14 @@
-"""The mesh constructor, smoothness matrix and evaluation matrix against the
-implementations they replaced, kept here verbatim as oracles.
+"""The mesh constructor, T-junction scan, smoothness, penalty and
+evaluation matrices against the implementations they replaced, kept here
+verbatim as oracles.
 
 The old constructor computed each triangle's signed area three times, kept
 edge topology as a dict of triangle lists and decided overlaps with a
-cross product per shared edge; the old evaluation matrix grouped points by
-triangle in a Python loop. The new code must reproduce their results
-bit for bit, and raise the same exception with the same message.
+cross product per shared edge, then scanned every vertex against every
+edge for T-junctions; the old smoothness matrix, penalty matrix and
+evaluation matrix were built in Python loops over edges, triangles and
+point groups. The new code must reproduce their results bit for bit, and
+raise the same exception with the same message.
 """
 
 import math
@@ -19,7 +22,8 @@ from tridensity.bernstein import SplineSpec, evaluate, evaluation_matrix
 from tridensity.errors import (DegenerateTriangle, IndexOutOfRange, MeshError, NonConforming,
                                PointOutsideDomain, UnsupportedSmoothness)
 from tridensity.geometry import Triangulation
-from tridensity.spline_space import _storage_index, _vertex_positions, smoothness_matrix
+from tridensity.quadrature import conical_rule, rule_9, rule_12
+from tridensity.spline_space import penalty_matrix, smoothness_matrix
 
 from conftest import grid_mesh
 
@@ -222,6 +226,82 @@ def _parent_smoothness_matrix(tr, spec):
     )
 
 
+def _vertex_positions(stored, relabeled):
+    """Position of each relabeled vertex inside the stored triple."""
+    stored = [int(v) for v in stored]
+    return tuple(stored.index(v) for v in relabeled)
+
+
+def _storage_index(exponents, positions):
+    """Map relabeled exponents back to the stored vertex order."""
+    d = [0, 0, 0]
+    for e, p in zip(exponents, positions):
+        d[p] = e
+    return tuple(d)
+
+
+def _parent_penalty_matrix(tr, spec):
+    """The roughness matrix built one triangle block at a time, as it was."""
+    m = spec.degree
+    dim = spec.per_triangle_dim
+    n = spec.dimension(tr)
+    if m < 2:
+        return sparse.csr_matrix((n, n))
+    needed = 2 * (m - 2)
+    if needed <= 5:
+        rule = rule_9()
+    elif needed <= 6:
+        rule = rule_12()
+    else:
+        rule = conical_rule(needed)
+    w = rule.weights
+    blocks = []
+    for t in range(tr.n_triangles):
+        coords = tr.triangle_coords(t)
+        dxx = bernstein.derivative(m, coords, (2, 0), rule.nodes)
+        dxy = bernstein.derivative(m, coords, (1, 1), rule.nodes)
+        dyy = bernstein.derivative(m, coords, (0, 2), rule.nodes)
+        block = tr.areas[t] * (
+            (dxx * w[:, None]).T @ dxx
+            + 2.0 * (dxy * w[:, None]).T @ dxy
+            + (dyy * w[:, None]).T @ dyy
+        )
+        blocks.append((block + block.T) / 2.0)
+    return sparse.block_diag(blocks, format="csr")
+
+
+def _parent_check_t_junctions(tr, tol):
+    """The T-junction scan of every vertex against every edge, as it was."""
+    verts = tr.vertices
+    used = np.zeros(len(verts), dtype=bool)
+    used[tr.triangles] = True
+    for (a, b), tris in zip(tr.edges.tolist(), tr.edge_triangles.tolist()):
+        pa, pb = verts[a], verts[b]
+        d = pb - pa
+        L2 = d @ d
+        rel = verts - pa
+        cross = rel[:, 0] * d[1] - rel[:, 1] * d[0]
+        proj = (rel @ d) / L2
+        hits = np.flatnonzero(
+            (np.abs(cross) <= tol * math.sqrt(L2))
+            & (proj > 1e-12)
+            & (proj < 1 - 1e-12)
+            & used
+        )
+        if hits.size:
+            raise NonConforming(
+                f"vertex {hits[0]} lies inside edge ({a}, {b}) of triangles "
+                f"{[t for t in tris if t >= 0]}"
+            )
+
+
+class _ScanTriangulation(Triangulation):
+    """A Triangulation whose T-junction check is the old scan."""
+
+    def _check_t_junctions(self, triangle_edges, tol):
+        _parent_check_t_junctions(self, tol)
+
+
 def _parent_evaluation_matrix(tr, parent, spec, points, allow_outside=False):
     """The evaluation matrix built one triangle at a time, as it was."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -314,11 +394,81 @@ def test_constructor_matches_parent(mesh_pair):
         assert not np.array_equal(tr.triangles, tris)  # some input was clockwise
 
 
-@pytest.mark.parametrize("m, r", [(1, 0), (2, 1), (3, 1), (4, 1), (5, 2)])
+@pytest.mark.parametrize("m, r", [(0, 0), (1, 0), (2, 1), (3, 1), (4, 1), (5, 2), (3, 3)])
 def test_smoothness_matrix_matches_parent(mesh_pair, m, r):
     name, tr, parent = mesh_pair
     spec = SplineSpec(m, r)
     _assert_same_csr(smoothness_matrix(tr, spec), _parent_smoothness_matrix(parent, spec))
+
+
+@pytest.mark.parametrize("m", range(8))  # rule_9, rule_12 and conical rules
+def test_penalty_matrix_matches_parent(mesh_pair, m):
+    name, tr, parent = mesh_pair
+    spec = SplineSpec(m, 0)
+    _assert_same_csr(penalty_matrix(tr, spec), _parent_penalty_matrix(tr, spec))
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_stacked_derivative_matches_per_triangle(mesh_pair, m):
+    name, tr, parent = mesh_pair
+    corners = tr.triangle_coords(np.arange(min(tr.n_triangles, 40)))
+    bary = np.random.default_rng(m).dirichlet([1.0, 1.0, 1.0], size=7)
+    for ax in range(4):
+        for ay in range(4 - ax):  # orders above m included
+            for b in (bary, bary[0]):
+                stacked = bernstein.derivative(m, corners, (ax, ay), b)
+                each = np.array([bernstein.derivative(m, c, (ax, ay), b) for c in corners])
+                assert stacked.shape == each.shape and np.array_equal(stacked, each)
+
+
+def test_t_junction_scan_passes_parent(mesh_pair):
+    name, tr, parent = mesh_pair
+    xmin, xmax, ymin, ymax = tr.bounding_box()
+    _parent_check_t_junctions(tr, 1e-12 * math.hypot(xmax - xmin, ymax - ymin))
+
+
+def _hanging_vertex_mesh(seed):
+    """A grid mesh in which some triangles are fanned out from points on
+    one of their shared edges while the triangle across stays whole, so
+    those points are T-junctions; unused vertices sit on other edges, and
+    vertex and triangle labels are shuffled."""
+    rng = np.random.default_rng(seed)
+    tr = grid_mesh(0, 1.5, -1, 1, 5, 4)
+    verts, tris = tr.vertices.tolist(), [t.tolist() for t in tr.triangles]
+    shared = np.flatnonzero(tr.edge_triangles[:, 1] >= 0)
+    touched = set()
+    for e in rng.choice(shared, size=4, replace=False):
+        pair = tr.edge_triangles[e].tolist()
+        if touched & set(pair):
+            continue
+        touched |= set(pair)
+        t = pair[rng.integers(2)]
+        a, b = tr.edges[e].tolist()
+        c = (set(tris[t]) - {a, b}).pop()
+        fan = [a]
+        for f in np.sort(rng.choice([0.25, 0.5, 0.75], size=rng.integers(1, 3), replace=False)):
+            verts.append((tr.vertices[a] + f * (tr.vertices[b] - tr.vertices[a])).tolist())
+            fan.append(len(verts) - 1)
+        fan.append(b)
+        tris[t] = [fan[0], fan[1], c]
+        tris += [[p, q, c] for p, q in zip(fan[1:-1], fan[2:])]
+    for e in rng.choice(len(tr.edges), size=3, replace=False):
+        verts.append(tr.vertices[tr.edges[e]].mean(axis=0).tolist())
+    perm = rng.permutation(len(verts))
+    new_verts = np.empty((len(verts), 2))
+    new_verts[perm] = verts
+    return new_verts, perm[np.array(tris)][rng.permutation(len(tris))]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_t_junction_errors_match_parent(seed):
+    verts, tris = _hanging_vertex_mesh(seed)
+    with pytest.raises(NonConforming) as old_exc:
+        _ScanTriangulation(verts, tris)
+    with pytest.raises(NonConforming) as new_exc:
+        Triangulation(verts, tris)
+    assert "lies inside edge" in str(old_exc.value)
+    assert str(new_exc.value) == str(old_exc.value)
 
 
 def _eval_points(tr, rng):
