@@ -6,82 +6,61 @@ polynomial on a triangulation, roughness is penalized through a
 second-order energy, and the smoothing weight is chosen by k-fold
 cross-validation. Includes synthetic benchmarks against a Gaussian kernel
 baseline and a command line front end.
+
+The import is lazy (PEP 562): ``import tridensity`` loads no submodule,
+and each exported name or submodule is imported on first access, so a
+caller that only reads meshes never loads scipy.
 """
 
-from .assets import BUNDLED_MESHES, load_bundled_mesh, mesh_paths
-from .bernstein import SplineSpec, evaluation_matrix
-from .errors import (
-    AllFoldsFailed,
-    DegenerateTriangle,
-    DidNotConverge,
-    EnvelopeViolated,
-    IndexOutOfRange,
-    MeshError,
-    NonConforming,
-    NonFiniteIntegrand,
-    PointOutsideDomain,
-    SingularBandwidth,
-    SingularSystem,
-    TriDensityError,
-    UnsupportedSmoothness,
-)
-from .estimator import (
-    DensityFit,
-    FitConfig,
-    ModelSpace,
-    density_from_gamma,
-    fit,
-    gradient,
-    hessian,
-    init_theta,
-    initial_histogram,
-    initial_lss,
-    make_workspace,
-    objective,
-)
-from .geometry import (
-    MeshQuality,
-    Triangulation,
-    barycentric,
-    load_mesh,
-    mesh_quality,
-    vertex_neighborhood,
-)
-from .model_selection import (
-    DEFAULT_LAMBDA_GRID,
-    CvReport,
-    fold_assignments,
-    select_lambda,
-)
-from .quadrature import QuadRule, conical_rule, integrate_domain, integrate_triangle, rule_9, rule_12
-from .simbench import (
-    KernelDensity,
-    MiseResult,
-    Scenario,
-    get_scenario,
-    mise,
-    run_benchmark,
-    sample,
-    scenario_sim1,
-    scenario_sim2,
-    scenario_sim3,
-)
-from .spline_space import nullspace, penalty_matrix, smoothness_matrix
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUNDLED_MESHES", "load_bundled_mesh", "mesh_paths", "SplineSpec",
-    "evaluation_matrix", "AllFoldsFailed", "DegenerateTriangle", "DidNotConverge",
-    "EnvelopeViolated", "IndexOutOfRange", "MeshError", "NonConforming",
-    "NonFiniteIntegrand", "PointOutsideDomain", "SingularBandwidth", "SingularSystem",
-    "TriDensityError", "UnsupportedSmoothness", "DensityFit", "FitConfig", "ModelSpace",
-    "density_from_gamma", "fit", "gradient", "hessian", "init_theta",
-    "initial_histogram", "initial_lss", "make_workspace", "objective", "MeshQuality",
-    "Triangulation", "barycentric", "load_mesh", "mesh_quality", "vertex_neighborhood",
-    "DEFAULT_LAMBDA_GRID", "CvReport", "fold_assignments", "select_lambda",
-    "QuadRule", "conical_rule", "integrate_domain", "integrate_triangle", "rule_9",
-    "rule_12", "KernelDensity", "MiseResult", "Scenario", "get_scenario",
-    "mise", "run_benchmark", "sample", "scenario_sim1", "scenario_sim2",
-    "scenario_sim3", "nullspace", "penalty_matrix", "smoothness_matrix",
-]
+# Submodule -> the names it exports, in __all__ order.
+_EXPORTS = {
+    "assets": ("BUNDLED_MESHES", "load_bundled_mesh", "mesh_paths"),
+    "bernstein": ("SplineSpec", "evaluation_matrix"),
+    "errors": (
+        "AllFoldsFailed", "DegenerateTriangle", "DidNotConverge", "EnvelopeViolated",
+        "IndexOutOfRange", "MeshError", "NonConforming", "NonFiniteIntegrand",
+        "PointOutsideDomain", "SingularBandwidth", "SingularSystem", "TriDensityError",
+        "UnsupportedSmoothness",
+    ),
+    "estimator": (
+        "DensityFit", "FitConfig", "ModelSpace", "density_from_gamma", "fit", "gradient",
+        "hessian", "init_theta", "initial_histogram", "initial_lss", "make_workspace",
+        "objective",
+    ),
+    "geometry": (
+        "MeshQuality", "Triangulation", "barycentric", "load_mesh", "mesh_quality",
+        "vertex_neighborhood",
+    ),
+    "model_selection": ("DEFAULT_LAMBDA_GRID", "CvReport", "fold_assignments", "select_lambda"),
+    "quadrature": (
+        "QuadRule", "conical_rule", "integrate_domain", "integrate_triangle", "rule_9", "rule_12",
+    ),
+    "simbench": (
+        "KernelDensity", "MiseResult", "Scenario", "get_scenario", "mise", "run_benchmark",
+        "sample", "scenario_sim1", "scenario_sim2", "scenario_sim3",
+    ),
+    "spline_space": ("nullspace", "penalty_matrix", "smoothness_matrix"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "cli")
+
+__all__ = list(_ORIGIN)
+
+
+def __getattr__(name):
+    if name in _ORIGIN:
+        value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))

@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 input validation, 3 fit did not converge
 """
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -17,14 +18,14 @@ import tempfile
 
 import numpy as np
 
-from . import estimator, model_selection, simbench
+# Only what mesh-info needs is imported here; each command imports the
+# modules that pull in scipy where it uses them.
 from .assets import BUNDLED_MESHES, mesh_paths
-from .bernstein import SplineSpec, index_set
 from .errors import (DidNotConverge, MeshError, PointOutsideDomain, TriDensityError,
                      UnsupportedSmoothness)
 from .geometry import cell_grid, load_mesh, load_points, mesh_quality
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -109,7 +110,8 @@ def build_parser():
     p_cv.set_defaults(handler=cmd_cv)
 
     p_sim = sub.add_parser("simulate", help="run benchmark replications")
-    p_sim.add_argument("--scenario", required=True, choices=sorted(simbench.SCENARIOS))
+    p_sim.add_argument("--scenario", required=True,
+                       help="benchmark scenario; an unknown name lists the valid ones")
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--reps", type=int, required=True)
     p_sim.add_argument("--methods", default="bpst,kde",
@@ -175,7 +177,9 @@ def _load_data(args, tr):
 
 def _parse_lambda_grid(text):
     if text == "default":
-        return list(model_selection.DEFAULT_LAMBDA_GRID)
+        from .model_selection import DEFAULT_LAMBDA_GRID
+
+        return list(DEFAULT_LAMBDA_GRID)
     try:
         grid = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
@@ -208,22 +212,31 @@ def _grid_csv(tr, resolution, values_fn):
     x then y; out-of-domain cells carry density 0 and in_domain 0."""
     pts, _ = cell_grid(tr, resolution)
     values, inside = values_fn(pts)
+    columns = (pts[:, 0].tolist(), pts[:, 1].tolist(),
+               np.asarray(values, dtype=float).tolist(), np.asarray(inside, dtype=int).tolist())
     lines = ["x,y,density,in_domain"]
-    for (x, y), v, flag in zip(pts, values, inside):
-        lines.append(f"{float(x)!r},{float(y)!r},{float(v)!r},{int(flag)}")
+    lines.extend(f"{x!r},{y!r},{v!r},{flag}" for x, y, v, flag in zip(*columns))
     return "\n".join(lines) + "\n"
 
 
 def _mesh_summary(tr):
+    """What density checks a mesh against: the sha256 over the vertex and
+    triangle arrays tells a relabelled copy of the fit's mesh apart."""
     q = mesh_quality(tr)
+    digest = hashlib.sha256(np.ascontiguousarray(tr.vertices, dtype=np.float64).tobytes())
+    digest.update(np.ascontiguousarray(tr.triangles, dtype=np.int64).tobytes())
     return {
         "N": tr.n_triangles,
         "mesh_size": q.mesh_size,
         "beta_ratio": q.beta_ratio,
+        "sha256": digest.hexdigest(),
     }
 
 
 def cmd_fit(args):
+    from . import estimator, model_selection
+    from .bernstein import SplineSpec
+
     if args.grid < 0:
         raise ValidationError("--grid must be nonnegative (0 writes no grid)")
     tr = _load_mesh(args)
@@ -297,6 +310,8 @@ def cmd_fit(args):
 
 
 def _coefficients_csv(tr, spec, gamma):
+    from .bernstein import index_set
+
     lines = ["triangle,i,j,k,value"]
     dim = spec.per_triangle_dim
     triples = index_set(spec.degree)
@@ -307,6 +322,8 @@ def _coefficients_csv(tr, spec, gamma):
 
 
 def _read_coefficients(path, tr, spec):
+    from .bernstein import index_set
+
     triples = {ijk: pos for pos, ijk in enumerate(index_set(spec.degree))}
     dim = spec.per_triangle_dim
     gamma = np.full(spec.dimension(tr), np.nan)
@@ -329,6 +346,9 @@ def _read_coefficients(path, tr, spec):
 
 
 def cmd_density(args):
+    from . import estimator
+    from .bernstein import SplineSpec
+
     tr = _load_mesh(args)
     report_path = os.path.join(args.fit_dir, "fit_report.json")
     coeff_path = os.path.join(args.fit_dir, "coefficients.csv")
@@ -337,6 +357,11 @@ def cmd_density(args):
             raise ValidationError(f"missing fit artifact {p}")
     with open(report_path) as fh:
         report = json.load(fh)
+    if report.get("schema_version") != SCHEMA_VERSION:
+        raise ValidationError(
+            f"{report_path} has schema_version {report.get('schema_version')!r}, not "
+            f"{SCHEMA_VERSION}; refit to write a report this version can check"
+        )
     mesh = _mesh_summary(tr)  # JSON floats round-trip, so the fit's mesh compares equal
     if mesh != report.get("mesh"):
         raise ValidationError(f"mesh {mesh} is not the fit's, {report.get('mesh')}")
@@ -350,6 +375,9 @@ def cmd_density(args):
 
 
 def cmd_cv(args):
+    from . import model_selection
+    from .bernstein import SplineSpec
+
     tr = _load_mesh(args)
     spec = SplineSpec(args.m, args.r)
     pts, n_dropped = _load_data(args, tr)
@@ -374,6 +402,12 @@ def cmd_cv(args):
 
 
 def cmd_simulate(args):
+    from . import simbench
+    from .bernstein import SplineSpec
+
+    if args.scenario not in simbench.SCENARIOS:
+        names = ", ".join(sorted(simbench.SCENARIOS))
+        raise ValidationError(f"unknown scenario {args.scenario!r}; choose from {names}")
     methods = tuple(tok for tok in args.methods.split(",") if tok)
     for m in methods:
         if m not in ("bpst", "kde"):

@@ -64,6 +64,9 @@ class CvReport:
     fold_assignments: np.ndarray
     seed: int
     folds: int
+    # (folds, len(lambda_grid)) held-out error of each fit, NaN where it
+    # failed; cv_errors are the means of its finite entries per column
+    fold_errors: np.ndarray
     failed_folds: list = field(default_factory=list)  # fold ids excluded, per lambda
     # (lambda index, fold id, message) of each failed fit, by lambda then fold
     fold_failures: list = field(default_factory=list)
@@ -174,6 +177,7 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
         fold_assignments=assign,
         seed=seed,
         folds=folds,
+        fold_errors=table,
         failed_folds=failed,
         fold_failures=fold_failures,
         lambda_at_grid_edge=lambda_grid[best_idx] in (min(lambda_grid), max(lambda_grid)),

@@ -1,5 +1,10 @@
 import dataclasses
+import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 import types
 
 import tridensity
@@ -14,6 +19,51 @@ def test_exported_names_resolve_and_exclude_modules():
                  "roughness", "dump_coo", "ConstraintSystem", "build_constraints"):
         assert gone not in tridensity.__all__
         assert not hasattr(tridensity, gone)
+
+
+def test_exported_names_are_their_modules_objects():
+    assert len(tridensity.__all__) == 59
+    for name in tridensity.__all__:
+        module = importlib.import_module(f"tridensity.{tridensity._ORIGIN[name]}")
+        assert getattr(tridensity, name) is getattr(module, name), name
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Runs in a fresh interpreter: after the package import and after a mesh-info
+# run, no scipy module may be loaded; names still resolve lazily.
+LAZY_PROBE = """
+import json, runpy, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import tridensity, tridensity.cli
+listed = set(tridensity.__all__) <= set(dir(tridensity))  # before any name resolves
+after_import = scipy_modules()
+sys.argv = ["tridensity", "mesh-info", "--bundled-mesh", "square_unit_32"]
+try:
+    runpy.run_module("tridensity.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+after_mesh_info = scipy_modules()
+fit = tridensity.estimator.fit
+print(json.dumps([listed, after_import, code, after_mesh_info, fit is tridensity.fit,
+                  hasattr(tridensity, "no_such_name")]))
+"""
+
+
+def test_import_and_mesh_info_load_no_scipy(tmp_path):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE], cwd=tmp_path, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), check=True)
+    listed, after_import, code, after_mesh_info, same_fit, unknown = json.loads(
+        proc.stdout.splitlines()[-1])
+    assert listed
+    assert after_import == []
+    assert code == 0
+    assert after_mesh_info == []
+    assert same_fit and not unknown
 
 
 def test_removed_helpers_and_options_stay_gone():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tridensity import cli
+from tridensity import cli, estimator, simbench
 
 from conftest import starve_newton
 
@@ -27,7 +27,7 @@ def test_mesh_info_bundled(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["N"] == 112
     assert np.isfinite(out["beta_ratio"])
-    assert out["schema_version"] == 1
+    assert out["schema_version"] == cli.SCHEMA_VERSION
 
 
 def test_mesh_info_from_files(tmp_path, capsys):
@@ -186,7 +186,7 @@ def test_fit_negative_grid_exit2(tmp_path, data_csv, capsys, monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("fit ran")
 
-    monkeypatch.setattr(cli.estimator, "ModelSpace", no_fit)
+    monkeypatch.setattr(estimator, "ModelSpace", no_fit)
     _rejected(tmp_path, capsys, [
         "fit", "--bundled-mesh", "square_unit_32", "--data", data_csv,
         "--lambda", "1e-3", "--grid", "-5",
@@ -197,7 +197,7 @@ def _no_model_space(monkeypatch):
     def no_space(self, *args, **kwargs):
         raise AssertionError("ModelSpace built")
 
-    monkeypatch.setattr(cli.estimator.ModelSpace, "__init__", no_space)
+    monkeypatch.setattr(estimator.ModelSpace, "__init__", no_space)
 
 
 @pytest.mark.parametrize("flags", [["--lambda", "nan"], ["--lambda-grid", "1e-3,nan"],
@@ -218,7 +218,7 @@ def test_simulate_rejects_bad_input_before_space(tmp_path, capsys, monkeypatch, 
         raise AssertionError("sampled")
 
     _no_model_space(monkeypatch)
-    monkeypatch.setattr(cli.simbench, "sample", no_sample)
+    monkeypatch.setattr(simbench, "sample", no_sample)
     argv = {"--n": "60", "--folds": "5", "--grid": "60"}
     argv.update(zip(flags[::2], flags[1::2]))
     _rejected(tmp_path, capsys, [
@@ -271,33 +271,61 @@ def test_density_flags_outside_cells(tmp_path):
             assert float(v) == 0.0
 
 
-@pytest.mark.parametrize("change", ["scaled", "moved"])
-def test_density_rejects_another_mesh(tmp_path, data_csv, capsys, change):
-    """density evaluates a fit only on the mesh it was fitted on: a mesh with
-    the same triangles but other vertices gives exit 2 and no file. (A
-    relabelled copy of the fit's mesh is not detected.)"""
-    from tridensity.assets import mesh_paths
-    from tridensity.geometry import load_mesh, mesh_quality
+def _write_mesh(tmp_path, verts, tris):
+    vp, tp = tmp_path / "other_v.csv", tmp_path / "other_t.csv"
+    write_points(vp, verts)
+    tp.write_text("v1,v2,v3\n" + "".join(f"{a},{b},{c}\n" for a, b, c in tris.tolist()))
+    return str(vp), str(tp)
 
-    verts_path, tris_path = mesh_paths("square_unit_32")
+
+def _fit_unit32(tmp_path, data_csv):
     fitdir = tmp_path / "fit"
     assert cli.main([
         "fit", "--bundled-mesh", "square_unit_32", "--data", data_csv,
         "--lambda", "1e-3", "--out", str(fitdir),
     ]) == 0
+    return fitdir
+
+
+@pytest.mark.parametrize("change", ["scaled", "moved", "shifted", "relabelled", "reordered"])
+def test_density_rejects_another_mesh(tmp_path, data_csv, capsys, change):
+    """density evaluates a fit only on the mesh it was fitted on: a mesh with
+    the same triangles but other vertices, or the fit's mesh with its
+    vertices or triangles in another order, gives exit 2 and no file. Only
+    the sha256 in the mesh summary tells the last three from the fit's."""
+    from tridensity.assets import mesh_paths
+    from tridensity.geometry import load_mesh, mesh_quality
+
+    verts_path, tris_path = mesh_paths("square_unit_32")
+    fitdir = _fit_unit32(tmp_path, data_csv)
     tr = load_mesh(verts_path, tris_path)
-    verts = tr.vertices * 2.0 if change == "scaled" else tr.vertices.copy()
-    if change == "moved":  # an interior vertex, off the longest edges
+    verts, tris = tr.vertices.copy(), tr.triangles.copy()
+    if change == "scaled":
+        verts *= 2.0
+    elif change == "moved":  # an interior vertex, off the longest edges
         inner = np.flatnonzero(np.all((verts > 0.05) & (verts < 0.95), axis=1))[0]
         verts[inner] += 1e-3
-    other = tmp_path / "other.csv"
-    write_points(other, verts)
-    q, q_other = mesh_quality(tr), mesh_quality(load_mesh(other, tris_path))
-    assert (q.mesh_size, q.beta_ratio) != (q_other.mesh_size, q_other.beta_ratio)
+    elif change == "shifted":  # exact on this grid, so every quality number stays
+        verts += [0.5, 0.0]
+    elif change == "relabelled":  # vertex i of the copy is vertex perm[i]
+        perm = np.random.default_rng(1).permutation(len(verts))
+        verts, tris = verts[perm], np.argsort(perm)[tris]
+    else:
+        tris = tris[np.random.default_rng(1).permutation(len(tris))]
+    other_paths = _write_mesh(tmp_path, verts, tris)
+    other = load_mesh(*other_paths)
+    q, q_other = mesh_quality(tr), mesh_quality(other)
+    same_geometry = (q.mesh_size, q.beta_ratio) == (q_other.mesh_size, q_other.beta_ratio)
+    assert same_geometry == (change not in ("scaled", "moved"))
+    if change in ("relabelled", "reordered"):  # the same triangles, labelled otherwise
+        corners = lambda m: {frozenset(map(tuple, c)) for c in m.vertices[m.triangles].tolist()}
+        assert corners(other) == corners(tr)
+        assert not (np.array_equal(other.vertices, tr.vertices)
+                    and np.array_equal(other.triangles, tr.triangles))
     capsys.readouterr()
     dens = tmp_path / "dens.csv"
     assert cli.main([
-        "density", "--mesh-vertices", str(other), "--mesh-triangles", str(tris_path),
+        "density", "--mesh-vertices", other_paths[0], "--mesh-triangles", other_paths[1],
         "--fit-dir", str(fitdir), "--grid", "20", "--out", str(dens),
     ]) == 2
     assert not dens.exists()
@@ -306,6 +334,24 @@ def test_density_rejects_another_mesh(tmp_path, data_csv, capsys, change):
         "density", "--mesh-vertices", str(verts_path), "--mesh-triangles", str(tris_path),
         "--fit-dir", str(fitdir), "--grid", "20", "--out", str(dens),
     ]) == 0
+
+
+def test_density_rejects_another_schema_version(tmp_path, data_csv, capsys):
+    fitdir = _fit_unit32(tmp_path, data_csv)
+    report_path = fitdir / "fit_report.json"
+    report = json.loads(report_path.read_text())
+    assert report["schema_version"] == cli.SCHEMA_VERSION
+    report["schema_version"] = cli.SCHEMA_VERSION - 1
+    report_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    dens = tmp_path / "dens.csv"
+    assert cli.main([
+        "density", "--bundled-mesh", "square_unit_32", "--fit-dir", str(fitdir),
+        "--grid", "20", "--out", str(dens),
+    ]) == 2
+    assert not dens.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "refit" in err["message"]
 
 
 def test_density_missing_artifacts(tmp_path, capsys):
@@ -329,7 +375,7 @@ def test_cv_subcommand(tmp_path, data_csv):
     assert report["best_lambda"] in report["lambda_grid"]
     assert len(report["cv_errors"]) == 3
     assert len(report["fold_assignments"]) == 300
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == cli.SCHEMA_VERSION
 
 
 def test_simulate_subcommand(tmp_path):
@@ -369,6 +415,18 @@ def test_simulate_bad_method(tmp_path, capsys):
         "simulate", "--scenario", "sim1", "--n", "10", "--reps", "1",
         "--methods", "magic", "--out", str(tmp_path / "x.json"),
     ]) == 2
+
+
+def test_simulate_unknown_scenario_exit2(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert cli.main([
+        "simulate", "--scenario", "bogus", "--n", "10", "--reps", "1", "--out", str(out),
+    ]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    for name in ("'bogus'", "sim1", "sim2", "sim3"):
+        assert name in err["message"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_inputs_never_mutated(tmp_path, data_csv):

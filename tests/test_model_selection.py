@@ -174,6 +174,7 @@ def test_fold_failures_keep_each_cause(unit32, rng, monkeypatch):
     pairs = [(gi, k) for gi, k, _ in report.fold_failures]
     assert pairs == [(gi, k) for gi, ks in enumerate(report.failed_folds) for k in ks]
     assert 0 < len(pairs) < len(grid) * 4
+    _check_fold_errors(report)
     cause = re.compile(
         r"optimizer did not converge: iteration limit \(max_iters=3\) reached "
         r"after 3 iterations, max\|gradient\| (\S+)$"
@@ -185,6 +186,20 @@ def test_fold_failures_keep_each_cause(unit32, rng, monkeypatch):
     monkeypatch.undo()
     clean = select_lambda(unit32, pts, spec, grid, folds=4, seed=0)
     assert clean.fold_failures == []
+    _check_fold_errors(clean)
+
+
+def _check_fold_errors(report):
+    """fold_errors is the (folds, grid) table: NaN exactly at the failed
+    fits, and its finite entries average to cv_errors."""
+    table = report.fold_errors
+    assert table.shape == (report.folds, len(report.lambda_grid))
+    failed = {(gi, k) for gi, k, _ in report.fold_failures}
+    assert {(int(gi), int(k)) for k, gi in zip(*np.nonzero(np.isnan(table)))} == failed
+    assert np.all(np.isfinite(table) | np.isnan(table))
+    for gi, err in enumerate(report.cv_errors):
+        col = table[:, gi][np.isfinite(table[:, gi])]
+        assert err == (col.mean() if col.size else float("inf"))
 
 
 def test_lambda_at_grid_edge():
@@ -218,6 +233,7 @@ def test_threads_do_not_change_results(unit32, rng):
                      "failed_folds", "fold_failures", "lambda_at_grid_edge"):
             assert getattr(rk, name) == getattr(r1, name), name
         assert np.array_equal(rk.fold_assignments, r1.fold_assignments)
+        assert np.array_equal(rk.fold_errors, r1.fold_errors, equal_nan=True)
 
 
 def test_default_grid_shape():
