@@ -21,20 +21,15 @@ _EXPORTS = {
     "assets": ("BUNDLED_MESHES", "load_bundled_mesh", "mesh_paths"),
     "bernstein": ("SplineSpec", "evaluation_matrix"),
     "errors": (
-        "AllFoldsFailed", "DegenerateTriangle", "DidNotConverge", "EnvelopeViolated",
-        "IndexOutOfRange", "MeshError", "NonConforming", "NonFiniteIntegrand",
-        "PointOutsideDomain", "SingularBandwidth", "SingularSystem", "TriDensityError",
-        "UnsupportedSmoothness",
+        "AllFoldsFailed", "DegenerateTriangle", "DidNotConverge", "IndexOutOfRange",
+        "MeshError", "NonConforming", "NonFiniteIntegrand", "PointOutsideDomain",
+        "SingularBandwidth", "SingularSystem", "TriDensityError", "UnsupportedSmoothness",
     ),
     "estimator": (
         "DensityFit", "FitConfig", "ModelSpace", "density_from_gamma", "fit", "gradient",
-        "hessian", "init_theta", "initial_histogram", "initial_lss", "make_workspace",
-        "objective",
+        "hessian", "init_theta", "make_workspace", "objective",
     ),
-    "geometry": (
-        "MeshQuality", "Triangulation", "barycentric", "load_mesh", "mesh_quality",
-        "vertex_neighborhood",
-    ),
+    "geometry": ("MeshQuality", "Triangulation", "barycentric", "load_mesh", "mesh_quality"),
     "model_selection": ("DEFAULT_LAMBDA_GRID", "CvReport", "fold_assignments", "select_lambda"),
     "quadrature": (
         "QuadRule", "conical_rule", "integrate_domain", "integrate_triangle", "rule_9", "rule_12",

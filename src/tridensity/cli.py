@@ -326,7 +326,8 @@ def _read_coefficients(path, tr, spec):
 
     triples = {ijk: pos for pos, ijk in enumerate(index_set(spec.degree))}
     dim = spec.per_triangle_dim
-    gamma = np.full(spec.dimension(tr), np.nan)
+    gamma = np.empty(spec.dimension(tr))
+    line_of = np.zeros(len(gamma), dtype=np.int64)  # 0 until the coefficient is read
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "triangle,i,j,k,value":
@@ -337,10 +338,16 @@ def _read_coefficients(path, tr, spec):
                 t = int(t)
                 if not 0 <= t < tr.n_triangles:
                     raise ValueError(f"triangle index {t} out of range")
-                gamma[t * dim + triples[(int(i), int(j), int(k))]] = float(v)
+                pos = t * dim + triples[(int(i), int(j), int(k))]
+                if line_of[pos]:
+                    raise ValueError(f"repeats the coefficient of line {line_of[pos]}")
+                gamma[pos] = float(v)
+                if not np.isfinite(gamma[pos]):
+                    raise ValueError(f"value {v!r} is not finite")
+                line_of[pos] = lineno
             except (ValueError, KeyError, IndexError) as exc:
                 raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
-    if np.any(np.isnan(gamma)):
+    if not line_of.all():
         raise ValidationError(f"{path}: incomplete coefficient table")
     return gamma
 
@@ -357,6 +364,8 @@ def cmd_density(args):
             raise ValidationError(f"missing fit artifact {p}")
     with open(report_path) as fh:
         report = json.load(fh)
+    if not isinstance(report, dict):
+        raise ValidationError(f"{report_path} does not hold a JSON object")
     if report.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(
             f"{report_path} has schema_version {report.get('schema_version')!r}, not "
@@ -365,7 +374,13 @@ def cmd_density(args):
     mesh = _mesh_summary(tr)  # JSON floats round-trip, so the fit's mesh compares equal
     if mesh != report.get("mesh"):
         raise ValidationError(f"mesh {mesh} is not the fit's, {report.get('mesh')}")
-    spec = SplineSpec(report["spec"]["m"], report["spec"]["r"])
+    spec_entry = report.get("spec")
+    if not isinstance(spec_entry, dict):
+        spec_entry = {}
+    for key in ("m", "r"):
+        if type(spec_entry.get(key)) is not int:
+            raise ValidationError(f"{report_path}: key spec.{key} is missing or not an integer")
+    spec = SplineSpec(spec_entry["m"], spec_entry["r"])
     gamma = _read_coefficients(coeff_path, tr, spec)
     if args.grid < 1:
         raise ValidationError("--grid must be at least 1")

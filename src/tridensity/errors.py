@@ -67,9 +67,5 @@ class AllFoldsFailed(TriDensityError):
     """Every cross-validation fold failed for one penalty value."""
 
 
-class EnvelopeViolated(TriDensityError):
-    """The rejection-sampling envelope was exceeded by the target density."""
-
-
 class SingularBandwidth(TriDensityError):
     """The kernel bandwidth matrix is not positive definite."""

@@ -14,12 +14,12 @@ iteration with an Armijo backtracking line search is used.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, sparse
 from scipy.linalg import blas
 
 from . import bernstein, spline_space
 from .bernstein import SplineSpec, evaluation_matrix
-from .errors import DidNotConverge, PointOutsideDomain, SingularSystem
+from .errors import DidNotConverge, SingularSystem
 from .quadrature import domain_nodes, rule_9
 from .spline_space import penalty_matrix
 
@@ -32,7 +32,7 @@ EXP_CAP = 700.0
 FLOOR_REL = 1e-8
 
 # Average points per triangle below which the seed aggregates counts over
-# vertex neighborhoods (initial_lss) instead of single triangles.
+# vertex neighborhoods instead of single triangles (see seed_theta).
 LSS_THRESHOLD = 5.0
 
 # Ridge weight of the least-squares smoothing that seeds the optimizer.
@@ -69,8 +69,10 @@ class ModelSpace:
     """Data-independent fitting structures for one (mesh, spec) pair.
 
     Holds the constraint null-space basis, the reduced roughness matrix,
-    the quadrature design matrix and the Cholesky factor of the seed's
-    ridge system (see init_theta). Building one of these is the expensive
+    the quadrature design matrix, and what the seed reads: the Cholesky
+    factor of its ridge system (see init_theta), the triangle x triangle
+    pattern of triangles sharing a vertex and the area of each such
+    neighborhood (see seed_theta). Building one of these is the expensive
     step (an SVD of the smoothness system); reuse it across repeated fits
     on the same mesh, e.g. cross-validation folds.
     """
@@ -101,6 +103,18 @@ class ModelSpace:
             )
         except linalg.LinAlgError as exc:
             raise SingularSystem(f"seed least-squares system is singular: {exc}") from exc
+        # triangles sharing a vertex: incidence times its transpose, each
+        # row ascending, and each row's area summed in that order
+        rows = np.repeat(np.arange(tr.n_triangles), 3)
+        incidence = sparse.csr_matrix((np.ones(len(rows), dtype=np.int64),
+                                       (rows, tr.triangles.ravel())))
+        hood = (incidence @ incidence.T).tocsr()
+        hood.sort_indices()
+        hood.data[:] = 1
+        self._neighborhood = hood
+        self._neighborhood_areas = np.array(
+            [tr.areas[hood.indices[a:b]].sum() for a, b in zip(hood.indptr[:-1], hood.indptr[1:])]
+        )
 
     @property
     def n_free(self):
@@ -116,9 +130,11 @@ class ModelSpace:
             raise ValueError("space is built on a different mesh")
 
     def data_basis(self, points):
-        """Reduced-basis design matrix at data points (dense rows)."""
+        """Reduced-basis design matrix at data points (dense rows) and the
+        triangle of each point. Raises PointOutsideDomain naming the rows
+        outside the mesh."""
         ev = evaluation_matrix(self.tr, self.spec, points)
-        return ev.matrix @ self.basis
+        return ev.matrix @ self.basis, ev.triangle_index
 
     def gamma(self, theta):
         return self.basis @ theta
@@ -139,8 +155,8 @@ class Workspace:
 
 
 def make_workspace(space, data_points, lam):
-    bq = space.data_basis(data_points)
-    return Workspace(space=space, data_mean=np.asarray(bq.mean(axis=0)).ravel(), lam=lam)
+    return Workspace(space=space, data_mean=space.data_basis(data_points)[0].mean(axis=0),
+                     lam=lam)
 
 
 def objective(theta, work):
@@ -180,73 +196,40 @@ def hessian(theta, work):
     return blas.dsyrk(1.0, s.T, c=2.0 * work.lam * space.reduced_penalty, beta=1.0)
 
 
-@dataclass
-class InitialDensity:
-    """Piecewise-constant density seeding the optimizer."""
-
-    tr: object
-    values: np.ndarray  # one density value per triangle
-    variant: str        # "histogram" or "lss"
-
-
-def initial_histogram(tr, points):
-    """Histogram density: count in each triangle over n times its area."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    idx = tr.locate(pts)
-    outside = np.where(idx < 0)[0]
-    if outside.size:
-        raise PointOutsideDomain(outside.tolist())
-    counts = np.bincount(idx, minlength=tr.n_triangles).astype(float)
-    return InitialDensity(tr=tr, values=counts / (len(pts) * tr.areas), variant="histogram")
-
-
-def initial_lss(tr, points):
-    """Histogram variant aggregating counts and areas over the triangles
-    sharing a vertex with each triangle; keeps sparse-data seeds positive
-    wherever any neighboring triangle is occupied."""
-    from .geometry import vertex_neighborhood
-
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    idx = tr.locate(pts)
-    outside = np.where(idx < 0)[0]
-    if outside.size:
-        raise PointOutsideDomain(outside.tolist())
-    counts = np.bincount(idx, minlength=tr.n_triangles).astype(float)
-    values = np.empty(tr.n_triangles)
-    for t in range(tr.n_triangles):
-        hood = sorted(vertex_neighborhood(tr, t))
-        values[t] = counts[hood].sum() / (len(pts) * tr.areas[hood].sum())
-    return InitialDensity(tr=tr, values=values, variant="lss")
-
-
-def init_theta(space, initial):
+def init_theta(space, values):
     """Seed coefficients by ridge-penalized least squares on log density.
 
-    Fits the reduced basis to log(max(initial, floor)) at the quadrature
-    nodes; the floor keeps empty triangles finite. The nodes are strictly
-    interior and triangle-major, so each triangle's value repeats once per
-    node. The system matrix is the same for every seed of a space, so it
-    is solved with the factor ModelSpace holds.
+    Fits the reduced basis to log(max(values, floor)) at the quadrature
+    nodes, where values holds one density value per triangle; the floor
+    keeps empty triangles finite. The nodes are strictly interior and
+    triangle-major, so each triangle's value repeats once per node. The
+    system matrix is the same for every seed of a space, so it is solved
+    with the factor ModelSpace holds.
     """
-    if not np.any(initial.values > 0):
+    values = np.asarray(values, dtype=float)
+    if not np.any(values > 0):
         raise SingularSystem("initial density is identically zero")
     floor = FLOOR_REL / space.tr.area
-    values = np.repeat(initial.values, len(space.rule.weights))
-    y = np.log(np.maximum(values, floor))
+    y = np.log(np.maximum(np.repeat(values, len(space.rule.weights)), floor))
     return linalg.cho_solve(space._seed_factor, space.quad_basis.T @ y, check_finite=False)
 
 
-def seed_theta(space, points):
-    """Optimizer seed for points on space's mesh: the histogram seed, or
-    the neighborhood-aggregated one when the average number of points per
-    triangle is below LSS_THRESHOLD. Only the starting point of Newton
-    depends on it; the minimizer is unique."""
+def seed_theta(space, triangle_index):
+    """Optimizer seed from the triangle of each data point, as
+    ModelSpace.data_basis returns it: init_theta of the histogram density
+    (each triangle's count over n times its area), or, when the average
+    number of points per triangle is below LSS_THRESHOLD, of the histogram
+    aggregated over each triangle's vertex neighborhood, which stays
+    positive wherever a neighboring triangle is occupied. Only the starting
+    point of Newton depends on it; the minimizer is unique."""
     tr = space.tr
-    if len(points) / tr.n_triangles < LSS_THRESHOLD:
-        initial = initial_lss(tr, points)
+    n = len(triangle_index)
+    counts = np.bincount(triangle_index, minlength=tr.n_triangles)
+    if n / tr.n_triangles < LSS_THRESHOLD:
+        values = (space._neighborhood @ counts) / (n * space._neighborhood_areas)
     else:
-        initial = initial_histogram(tr, points)
-    return init_theta(space, initial)
+        values = counts / (n * tr.areas)
+    return init_theta(space, values)
 
 
 @dataclass
@@ -313,10 +296,12 @@ def density_from_gamma(tr, spec, gamma, points, log_norm_const=None):
 def fit(tr, points, config=None, space=None):
     """Fit the penalized log-density to points scattered on the mesh.
 
-    Builds the workspace of the points, seeds with seed_theta and runs
-    newton. A given space must match tr and config.spec (ModelSpace.check).
-    Raises DidNotConverge (carrying the last iterate and objective trace)
-    if newton stops before converging.
+    Locates the points once: the design matrix gives the workspace and
+    its triangle index the seed (seed_theta), from which newton runs. A
+    given space must match tr and config.spec (ModelSpace.check). Raises
+    PointOutsideDomain naming the rows outside the mesh, and DidNotConverge
+    (carrying the last iterate and objective trace) if newton stops before
+    converging.
     """
     config = config or FitConfig()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -326,8 +311,9 @@ def fit(tr, points, config=None, space=None):
         space = ModelSpace(tr, config.spec)
     else:
         space.check(tr, config.spec)
-    work = make_workspace(space, pts, config.lam)
-    return newton(work, seed_theta(space, pts))
+    bq, triangle_index = space.data_basis(pts)
+    work = Workspace(space=space, data_mean=bq.mean(axis=0), lam=config.lam)
+    return newton(work, seed_theta(space, triangle_index))
 
 
 def newton(work, theta0):

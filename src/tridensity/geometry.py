@@ -122,10 +122,6 @@ class Triangulation:
         self._buckets = _BucketGrid(self)  # point location and the T-junction scan
         triangle_edges = self._build_edges()
         self._check_t_junctions(triangle_edges, 1e-12 * math.sqrt(scale2))
-        self._vertex_to_triangles = {}
-        for t, tri in enumerate(self.triangles):
-            for v in tri:
-                self._vertex_to_triangles.setdefault(int(v), []).append(t)
 
     @property
     def n_triangles(self):
@@ -424,16 +420,3 @@ def mesh_quality(tr):
         beta_ratio=mesh_size / min_inradius,
         min_angle_deg=min_angle,
     )
-
-
-def vertex_neighborhood(tr, t):
-    """Indices of all triangles sharing at least one vertex with triangle t.
-
-    Includes t itself.
-    """
-    if not 0 <= t < tr.n_triangles:
-        raise IndexOutOfRange(f"triangle index {t} out of range 0..{tr.n_triangles - 1}")
-    out = set()
-    for v in tr.triangles[t]:
-        out.update(tr._vertex_to_triangles[int(v)])
-    return out

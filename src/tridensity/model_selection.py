@@ -88,16 +88,18 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
                   seed=0, space=None, threads=1):
     """Evaluate the cross-validation error over a grid of smoothing weights.
 
-    The data design matrix is built once for all points; a fold's training
-    mean is the mean of its training rows. Within each fold the first fit
-    starts from estimator.seed_theta and later ones warm-start along the
+    The data design matrix is built once for all points, locating each
+    point once; a fold's training mean is the mean of its training rows.
+    Within each fold the first fit starts from estimator.seed_theta of the
+    training points' triangles and later ones warm-start along the
     ascending grid; both only choose Newton's starting point. Ties are
     broken toward the larger (smoother) weight. The report lists the cause
     of every failed fit and flags a best weight on the edge of the grid. A
     grid cell where every fold failed reports +inf and is never selected;
     if the whole grid is +inf, AllFoldsFailed is raised, naming the first
     cause. An empty grid, a negative or non-finite weight in it, or a space
-    that does not match tr and spec raises ValueError before any fit.
+    that does not match tr and spec raises ValueError before any fit, and
+    points outside the mesh raise PointOutsideDomain naming their rows.
     """
     lambda_grid = [float(l) for l in lambda_grid]
     if not lambda_grid:
@@ -113,7 +115,7 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
     else:
         space.check(tr, spec)
 
-    data_basis = space.data_basis(pts)  # shared, read-only
+    data_basis, triangle_index = space.data_basis(pts)  # shared, read-only
     order = np.argsort(lambda_grid, kind="stable")
 
     def run_fold(k):
@@ -130,7 +132,7 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
             work = Workspace(space=space, data_mean=train_mean, lam=lam)
             try:
                 if theta is None:
-                    theta = estimator.seed_theta(space, pts[~test_mask])
+                    theta = estimator.seed_theta(space, triangle_index[~test_mask])
                 f = estimator.newton(work, theta)
             except TriDensityError as exc:
                 failures.append((int(gi), str(exc)))

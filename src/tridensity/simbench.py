@@ -20,7 +20,7 @@ from scipy.special import ndtr
 from . import estimator, model_selection
 from .assets import load_bundled_mesh
 from .bernstein import SplineSpec
-from .errors import EnvelopeViolated, SingularBandwidth, TriDensityError
+from .errors import SingularBandwidth, TriDensityError
 from .geometry import cell_grid
 from .quadrature import domain_nodes, rule_9
 
@@ -232,27 +232,24 @@ def sample(scenario, n, seed):
         rng = np.random.default_rng(seed)
         out = []
         collected = 0
-        try:
-            for _ in range(100_000):
-                pts = np.column_stack([
-                    rng.uniform(xmin, xmax, batch),
-                    rng.uniform(ymin, ymax, batch),
-                ])
-                u = rng.uniform(0.0, 1.0, batch)
-                inside = scenario.domain.locate(pts) >= 0
-                vals = scenario.density(pts[inside])
-                if np.any(vals > envelope):
-                    raise EnvelopeViolated(
-                        f"density {vals.max():.3g} exceeds envelope {envelope:.3g}"
-                    )
-                accept = pts[inside][u[inside] < vals / envelope]
-                out.append(accept)
-                collected += len(accept)
-                if collected >= n:
-                    return np.concatenate(out)[:n]
+        for _ in range(100_000):
+            pts = np.column_stack([
+                rng.uniform(xmin, xmax, batch),
+                rng.uniform(ymin, ymax, batch),
+            ])
+            u = rng.uniform(0.0, 1.0, batch)
+            inside = scenario.domain.locate(pts) >= 0
+            vals = scenario.density(pts[inside])
+            if np.any(vals > envelope):
+                break  # restart with a doubled envelope
+            accept = pts[inside][u[inside] < vals / envelope]
+            out.append(accept)
+            collected += len(accept)
+            if collected >= n:
+                return np.concatenate(out)[:n]
+        else:
             raise TriDensityError("rejection sampling made no progress")
-        except EnvelopeViolated:
-            envelope *= 2.0
+        envelope *= 2.0
     raise TriDensityError("rejection envelope failed to stabilize")
 
 

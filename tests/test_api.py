@@ -8,7 +8,7 @@ import sys
 import types
 
 import tridensity
-from tridensity import estimator, geometry, model_selection, simbench, spline_space
+from tridensity import errors, estimator, geometry, model_selection, simbench, spline_space
 
 
 def test_exported_names_resolve_and_exclude_modules():
@@ -16,13 +16,15 @@ def test_exported_names_resolve_and_exclude_modules():
         assert not isinstance(getattr(tridensity, name), types.ModuleType), name
     assert len(set(tridensity.__all__)) == len(tridensity.__all__)
     for gone in ("GridIndex", "FoldFitFailed", "eval_density", "cv_error", "kde_baseline",
-                 "roughness", "dump_coo", "ConstraintSystem", "build_constraints"):
+                 "roughness", "dump_coo", "ConstraintSystem", "build_constraints",
+                 "initial_histogram", "initial_lss", "InitialDensity", "vertex_neighborhood",
+                 "EnvelopeViolated"):
         assert gone not in tridensity.__all__
         assert not hasattr(tridensity, gone)
 
 
 def test_exported_names_are_their_modules_objects():
-    assert len(tridensity.__all__) == 59
+    assert len(tridensity.__all__) == 55
     for name in tridensity.__all__:
         module = importlib.import_module(f"tridensity.{tridensity._ORIGIN[name]}")
         assert getattr(tridensity, name) is getattr(module, name), name
@@ -73,7 +75,10 @@ def test_removed_helpers_and_options_stay_gone():
                          (spline_space, "roughness"), (spline_space, "dump_coo"),
                          (spline_space, "ConstraintSystem"), (spline_space, "build_constraints"),
                          (spline_space, "_vertex_positions"), (spline_space, "_storage_index"),
-                         (simbench, "kde_baseline")):
+                         (simbench, "kde_baseline"), (estimator, "initial_histogram"),
+                         (estimator, "initial_lss"), (estimator, "InitialDensity"),
+                         (geometry, "vertex_neighborhood"), (mesh, "_vertex_to_triangles"),
+                         (errors, "EnvelopeViolated"), (simbench, "EnvelopeViolated")):
         assert not hasattr(module, name), name
     space = estimator.ModelSpace(mesh, estimator.FitConfig().spec)
     for gone in ("constraints", "penalty"):
@@ -85,6 +90,8 @@ def test_removed_helpers_and_options_stay_gone():
     for fn, params in ((estimator.newton, ["work", "theta0"]),
                        (estimator.fit, ["tr", "points", "config", "space"]),
                        (estimator.hessian, ["theta", "work"]),
+                       (estimator.seed_theta, ["space", "triangle_index"]),
+                       (estimator.init_theta, ["space", "values"]),
                        (model_selection.select_lambda,
                         ["tr", "points", "spec", "lambda_grid", "folds", "seed", "space",
                          "threads"]),

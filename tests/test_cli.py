@@ -354,6 +354,49 @@ def test_density_rejects_another_schema_version(tmp_path, data_csv, capsys):
     assert err["error"] == "ValidationError" and "refit" in err["message"]
 
 
+@pytest.mark.parametrize("fault", ["repeated_row", "inf_value", "nan_value", "no_spec",
+                                   "no_spec_r", "float_spec_m", "report_not_object"])
+def test_density_rejects_bad_fit_artifact(tmp_path, data_csv, capsys, fault):
+    """A coefficient file that repeats a coefficient or holds a non-finite
+    value, or a report that is no JSON object or has no integer spec.m and
+    spec.r, gives exit 2, names the line or key, and writes nothing."""
+    fitdir = _fit_unit32(tmp_path, data_csv)
+    coeff_path, report_path = fitdir / "coefficients.csv", fitdir / "fit_report.json"
+    lines = coeff_path.read_text().splitlines()
+    report = json.loads(report_path.read_text())
+    if fault == "repeated_row":  # a later row overwrote the first one
+        t, i, j, k, v = lines[1].split(",")
+        lines.append(f"{t},{i},{j},{k},{float(v) + 1.0!r}")
+        expected = f"line {len(lines)}: repeats the coefficient of line 2"
+    elif fault in ("inf_value", "nan_value"):
+        value = fault[:3]
+        lines[2] = ",".join(lines[2].split(",")[:4] + [value])
+        expected = f"line 3: value '{value}' is not finite"
+    elif fault == "no_spec":
+        del report["spec"]
+        expected = "key spec.m"
+    elif fault == "no_spec_r":
+        del report["spec"]["r"]
+        expected = "key spec.r"
+    elif fault == "float_spec_m":
+        report["spec"]["m"] = 3.0
+        expected = "key spec.m"
+    else:
+        report = [report]
+        expected = "does not hold a JSON object"
+    coeff_path.write_text("\n".join(lines) + "\n")
+    report_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    dens = tmp_path / "dens.csv"
+    assert cli.main([
+        "density", "--bundled-mesh", "square_unit_32", "--fit-dir", str(fitdir),
+        "--grid", "20", "--out", str(dens),
+    ]) == 2
+    assert not dens.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and expected in err["message"], err
+
+
 def test_density_missing_artifacts(tmp_path, capsys):
     code = cli.main([
         "density", "--bundled-mesh", "square_unit_32",

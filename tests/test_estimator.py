@@ -11,14 +11,12 @@ from tridensity.estimator import (
     gradient,
     hessian,
     init_theta,
-    initial_histogram,
-    initial_lss,
     make_workspace,
     objective,
 )
 from tridensity.geometry import Triangulation
 
-from conftest import grid_mesh, starve_newton
+from conftest import grid_mesh, random_interior_bary, starve_newton
 
 
 @pytest.fixture(scope="module")
@@ -33,90 +31,175 @@ def uniform_points(n, seed=42):
     return np.random.default_rng(seed).random((n, 2))
 
 
-def test_initial_histogram_single_triangle():
-    tr = Triangulation([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-    init = initial_histogram(tr, [[0.2, 0.2], [0.3, 0.1]])
-    assert init.values == pytest.approx([1 / tr.area])
+def vertex_neighborhoods_oracle(tr):
+    """Per triangle, the set of triangles sharing a vertex with it, itself
+    included: the vertex -> triangles dict walk that ModelSpace's sparse
+    pattern replaced."""
+    to_triangles = {}
+    for t, tri in enumerate(tr.triangles):
+        for v in tri:
+            to_triangles.setdefault(int(v), []).append(t)
+    return [set().union(*(to_triangles[int(v)] for v in tri)) for tri in tr.triangles]
+
+
+def seed_values_oracle(tr, points):
+    """Per-triangle seed density by the loops seed_theta replaced: counts
+    over n times areas, summed over each ascending vertex neighborhood when
+    there are fewer than LSS_THRESHOLD points per triangle."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    idx = tr.locate(pts)
+    assert np.all(idx >= 0)
+    counts = np.bincount(idx, minlength=tr.n_triangles).astype(float)
+    if len(pts) / tr.n_triangles >= estimator.LSS_THRESHOLD:
+        return counts / (len(pts) * tr.areas)
+    values = np.empty(tr.n_triangles)
+    for t, hood in enumerate(vertex_neighborhoods_oracle(tr)):
+        hood = sorted(hood)
+        values[t] = counts[hood].sum() / (len(pts) * tr.areas[hood].sum())
+    return values
+
+
+def seed_of(space, points):
+    """seed_theta of points located on the space's mesh: the per-triangle
+    density it hands to the module-global init_theta, and theta0."""
+    seen = []
+    real = estimator.init_theta
+
+    def spy(space, values):
+        seen.append(values)
+        return real(space, values)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "init_theta", spy)
+        theta = estimator.seed_theta(space, space.tr.locate(np.asarray(points, dtype=float)))
+    assert len(seen) == 1
+    return seen[0], theta
+
+
+@pytest.fixture(scope="module")
+def single_space():
+    return ModelSpace(Triangulation([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]]), SplineSpec(1, 0))
+
+
+def test_initial_histogram_single_triangle(single_space):
+    pts = np.random.default_rng(3).random((6, 2)) / 2  # histogram seed from 5 per triangle
+    values, theta = seed_of(single_space, pts)
+    assert values == pytest.approx([1 / single_space.tr.area])
+    assert np.array_equal(values, seed_values_oracle(single_space.tr, pts))
+    assert np.all(np.isfinite(theta))
 
 
 def test_initial_histogram_two_triangles(square2):
-    pts = [[0.7, 0.2], [0.8, 0.3], [0.9, 0.1]]  # all in triangle 0
-    init = initial_histogram(square2, pts)
-    assert init.values == pytest.approx([2.0, 0.0])
-    assert float(init.values @ square2.areas) == pytest.approx(1.0)
+    pts = [[0.7, 0.2], [0.8, 0.3], [0.9, 0.1]] * 4  # all in triangle 0
+    values, _ = seed_of(ModelSpace(square2, SplineSpec(1, 0)), pts)
+    assert values == pytest.approx([2.0, 0.0])
+    assert float(values @ square2.areas) == pytest.approx(1.0)
 
 
-def test_initial_histogram_partition(rng, unit32):
-    pts = rng.random((137, 2))
-    init = initial_histogram(unit32, pts)
-    assert float(init.values @ unit32.areas) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(PointOutsideDomain):
-        initial_histogram(unit32, [[2.0, 2.0]])
+def test_initial_histogram_partition(rng, unit32_space):
+    pts = rng.random((200, 2))
+    values, _ = seed_of(unit32_space, pts)
+    assert float(values @ unit32_space.tr.areas) == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(values, seed_values_oracle(unit32_space.tr, pts))
 
 
-def test_initial_lss_single_triangle():
-    tr = Triangulation([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
+def test_fit_and_select_lambda_name_outside_rows(rng, unit32_space):
+    from tridensity.model_selection import select_lambda
+
+    pts = rng.random((40, 2))
+    pts[[3, 17]] = [[2.0, 2.0], [-0.5, 0.5]]
+    space = unit32_space
+    for run in (lambda: fit(space.tr, pts, space=space),
+                lambda: select_lambda(space.tr, pts, space.spec, [1e-3], folds=2, space=space)):
+        with pytest.raises(PointOutsideDomain, match=r"rows \[3, 17\]") as info:
+            run()
+        assert info.value.indices == [3, 17]
+
+
+def test_initial_lss_single_triangle(single_space):
     pts = [[0.2, 0.2], [0.3, 0.1]]
-    assert initial_lss(tr, pts).values == pytest.approx(
-        initial_histogram(tr, pts).values
-    )
+    values, _ = seed_of(single_space, pts)
+    assert np.array_equal(values, [2 / (len(pts) * single_space.tr.area)])
+    assert np.array_equal(values, seed_values_oracle(single_space.tr, pts))
 
 
 def test_initial_lss_two_triangles(square2):
     pts = [[0.7, 0.2], [0.8, 0.3], [0.9, 0.1]]
-    init = initial_lss(square2, pts)
+    values, _ = seed_of(ModelSpace(square2, SplineSpec(1, 0)), pts)
     # shared neighborhood covers the whole unit square
-    assert init.values == pytest.approx([1.0, 1.0])
+    assert values == pytest.approx([1.0, 1.0])
 
 
 def test_initial_lss_positive_near_occupied():
     tr = grid_mesh(0, 1, 0, 1, 4, 4)
+    space = ModelSpace(tr, SplineSpec(1, 0))
     pts = [[0.05, 0.05], [0.1, 0.03]]  # corner triangle only
-    hist = initial_histogram(tr, pts)
-    lss = initial_lss(tr, pts)
-    from tridensity.geometry import vertex_neighborhood
-
-    occupied = int(np.argmax(hist.values))
-    for t in vertex_neighborhood(tr, occupied):
-        assert lss.values[t] > 0.0
-    assert np.all(lss.values >= 0.0)
+    values, _ = seed_of(space, pts)
+    occupied = int(tr.locate(pts[0]))
+    hood = vertex_neighborhoods_oracle(tr)[occupied]
+    assert set(np.flatnonzero(values > 0.0).tolist()) == hood
+    assert np.all(values >= 0.0)
+    assert np.array_equal(values, seed_values_oracle(tr, pts))
 
 
 def test_init_theta_constant(unit32_space):
     space = unit32_space
     tr = space.tr
-    init = estimator.InitialDensity(
-        tr=tr, values=np.full(tr.n_triangles, 1.0 / tr.area), variant="histogram"
-    )
-    theta = init_theta(space, init)
+    theta = init_theta(space, np.full(tr.n_triangles, 1.0 / tr.area))
     fitted = space.quad_basis @ theta
     assert np.abs(fitted - np.log(1.0 / tr.area)).max() <= 1e-6
 
 
 def test_init_theta_floor_keeps_finite(square2):
     space = ModelSpace(square2, SplineSpec(2, 1))
-    init = estimator.InitialDensity(
-        tr=square2, values=np.array([2.0, 0.0]), variant="histogram"
-    )
-    theta = init_theta(space, init)
+    theta = init_theta(space, np.array([2.0, 0.0]))
     assert np.all(np.isfinite(theta))
     with pytest.raises(SingularSystem):
-        init_theta(space, estimator.InitialDensity(
-            tr=square2, values=np.zeros(2), variant="histogram"
-        ))
+        init_theta(space, np.zeros(2))
 
 
 def test_init_theta_matches_dense_oracle(square2, rng):
     space = ModelSpace(square2, SplineSpec(2, 1))
     values = np.array([1.4, 0.3])
-    init = estimator.InitialDensity(tr=square2, values=values, variant="histogram")
-    theta = init_theta(space, init)
+    theta = init_theta(space, values)
     # direct dense ridge solve on the same design
     a = space.quad_basis
-    y = np.log(np.maximum(init.values[square2.locate(space.quad_points)], 1e-8 / square2.area))
+    y = np.log(np.maximum(values[square2.locate(space.quad_points)], 1e-8 / square2.area))
     lhs = a.T @ a + 1e-4 * space.reduced_penalty
     oracle = np.linalg.solve(lhs, a.T @ y)
     assert np.abs(space.quad_basis @ (theta - oracle)).max() <= 1e-8
+
+
+def bundled_seed_points(tr, branch, rng):
+    """Every vertex, every shared-edge midpoint and random interior points:
+    below LSS_THRESHOLD points per triangle for "lss", at or above it for
+    "histogram"."""
+    shared = tr.edge_triangles[:, 1] >= 0
+    mids = tr.vertices[tr.edges[shared]].mean(axis=1)
+    n_random = tr.n_triangles * (1 if branch == "lss" else int(estimator.LSS_THRESHOLD))
+    t = rng.integers(tr.n_triangles, size=n_random)
+    inner = np.einsum("nk,nkd->nd", random_interior_bary(rng, n_random), tr.triangle_coords(t))
+    pts = np.vstack([tr.vertices, mids, inner])
+    assert (len(pts) / tr.n_triangles < estimator.LSS_THRESHOLD) == (branch == "lss")
+    return rng.permutation(pts)
+
+
+@pytest.mark.parametrize("branch", ["lss", "histogram"])
+@pytest.mark.parametrize("mesh", ["square_unit_32", "square_sim1_50", "horseshoe_112",
+                                  "horseshoe_356"])
+def test_seed_equals_removed_loops_on_bundled_meshes(mesh, branch):
+    """seed_theta's per-triangle density and theta0 are bit-identical to the
+    per-triangle loops it replaced, with points on vertices and shared
+    edges, on each bundled mesh and on both sides of LSS_THRESHOLD."""
+    from tridensity.assets import load_bundled_mesh
+
+    tr = load_bundled_mesh(mesh)
+    space = ModelSpace(tr, SplineSpec(1, 0))
+    pts = bundled_seed_points(tr, branch, np.random.default_rng(len(mesh)))
+    values, theta = seed_of(space, pts)
+    want = seed_values_oracle(tr, pts)
+    assert np.array_equal(values, want)
+    assert np.array_equal(theta, init_theta(space, want))
 
 
 def test_objective_at_zero_is_area(unit32_space):
@@ -502,7 +585,7 @@ def test_hessian_equals_mirrored_formula(horseshoe_space, rng):
 def test_newton_matches_mirrored_oracle_on_warm_started_chain(horseshoe_space):
     space = horseshoe_space
     pts = horseshoe_points(space.tr, 600, seed=11)
-    theta = estimator.seed_theta(space, pts)
+    theta = estimator.seed_theta(space, space.tr.locate(pts))
     for lam in np.logspace(-6.0, 0.0, 9):
         work = make_workspace(space, pts, float(lam))
         got = _newton_outcome(lambda: estimator.newton(work, theta))
@@ -517,7 +600,7 @@ def test_newton_matches_mirrored_oracle_off_the_happy_path(horseshoe_space, case
     space = horseshoe_space
     pts = horseshoe_points(space.tr, 200, seed=5)
     work = make_workspace(space, pts, 1e-3)
-    theta0 = estimator.seed_theta(space, pts)
+    theta0 = estimator.seed_theta(space, space.tr.locate(pts))
     if case == "above_exp_cap":
         theta0 = np.full(space.n_free, 1e6)
         assert not np.isfinite(objective(theta0, work))
@@ -545,15 +628,14 @@ def test_init_theta_equals_ridge_solve(horseshoe_space, n):
 
     space = horseshoe_space
     pts = horseshoe_points(space.tr, n, seed=n)
-    seeded = n / space.tr.n_triangles < estimator.LSS_THRESHOLD
-    initial = (initial_lss if seeded else initial_histogram)(space.tr, pts)
+    values = seed_values_oracle(space.tr, pts)
     a = space.quad_basis
-    y = np.log(np.maximum(np.repeat(initial.values, len(space.rule.weights)),
+    y = np.log(np.maximum(np.repeat(values, len(space.rule.weights)),
                           estimator.FLOOR_REL / space.tr.area))
     lhs = a.T @ a + estimator.INIT_RIDGE * space.reduced_penalty
     want = linalg.solve(lhs, a.T @ y, assume_a="pos")
-    assert np.array_equal(init_theta(space, initial), want)
-    assert np.array_equal(estimator.seed_theta(space, pts), want)
+    assert np.array_equal(init_theta(space, values), want)
+    assert np.array_equal(seed_of(space, pts)[1], want)
 
 
 def test_newton_calls_the_traced_names(horseshoe_space, monkeypatch):

@@ -18,7 +18,6 @@ from tridensity.geometry import (
     load_mesh,
     load_points,
     mesh_quality,
-    vertex_neighborhood,
 )
 
 from conftest import grid_mesh, random_triangle
@@ -246,22 +245,40 @@ def test_mesh_quality_invariants(square2, unit32, horseshoe):
         assert 0 < q.min_angle_deg <= 60.0
 
 
+def vertex_neighborhoods(tr):
+    """Rows of the triangle x triangle vertex-sharing pattern that the seed
+    reads, which ModelSpace holds so that the mesh layer needs no scipy;
+    each row's triangles ascending, and that row's area."""
+    from tridensity.bernstein import SplineSpec
+    from tridensity.estimator import ModelSpace
+
+    space = ModelSpace(tr, SplineSpec(1, 0))
+    hood = space._neighborhood
+    assert np.all(hood.data == 1)
+    rows = [hood.indices[a:b].tolist() for a, b in zip(hood.indptr[:-1], hood.indptr[1:])]
+    assert all(row == sorted(row) for row in rows)
+    return rows, space._neighborhood_areas
+
+
 def test_vertex_neighborhood(square2):
-    assert vertex_neighborhood(square2, 0) == {0, 1}
+    rows, areas = vertex_neighborhoods(square2)
+    assert rows == [[0, 1], [0, 1]]
+    assert np.array_equal(areas, [1.0, 1.0])
     single = Triangulation([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-    assert vertex_neighborhood(single, 0) == {0}
+    assert vertex_neighborhoods(single)[0] == [[0]]
 
 
 def test_vertex_neighborhood_grid_bruteforce():
     tr = grid_mesh(0, 1, 0, 1, 4, 4)
+    rows, areas = vertex_neighborhoods(tr)
     for k in range(tr.n_triangles):
-        got = vertex_neighborhood(tr, k)
         mine = set(tr.triangles[k].tolist())
-        expected = {
+        expected = [
             j for j in range(tr.n_triangles)
             if mine & set(tr.triangles[j].tolist())
-        }
-        assert got == expected
+        ]
+        assert rows[k] == expected
+        assert areas[k] == tr.areas[expected].sum()
 
 
 def test_delaunay_meshes_accepted(rng):

@@ -91,11 +91,12 @@ def test_cv_error_deterministic(unit32, rng):
     assert a == b
 
 
-@pytest.mark.parametrize("n", [100, 300])  # seeds from initial_lss, initial_histogram
+@pytest.mark.parametrize("n", [100, 300])  # neighborhood seed below 160 points, histogram above
 def test_shared_design_matches_per_fold_fits(unit32, rng, n):
     """CV on the shared design matrix gives exactly the errors of refitting
     each fold's training points with newton on their own workspace, seeded
-    by seed_theta and warm-started along the grid."""
+    by seed_theta of the triangles they are located in on their own and
+    warm-started along the grid."""
     pts = rng.random((n, 2))
     spec = SplineSpec(3, 1)
     space = ModelSpace(unit32, spec)
@@ -104,8 +105,8 @@ def test_shared_design_matches_per_fold_fits(unit32, rng, n):
     table = np.full((5, len(grid)), np.nan)
     for k in range(5):
         test = report.fold_assignments == k
-        bq_test = space.data_basis(pts[test])
-        warm = estimator.seed_theta(space, pts[~test])
+        bq_test, _ = space.data_basis(pts[test])
+        warm = estimator.seed_theta(space, space.data_basis(pts[~test])[1])
         for gi in np.argsort(grid, kind="stable"):
             f = newton(make_workspace(space, pts[~test], grid[gi]), warm)
             warm = f.theta
