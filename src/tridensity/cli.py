@@ -3,10 +3,13 @@
 Subcommands: fit, density, cv, simulate, mesh-info. Structured reports are
 JSON with a schema_version field, point and grid data are CSV. Outputs are
 written atomically (temp file plus rename) and are byte-identical for
-identical inputs, seed and thread count.
+identical inputs and seed, at any --threads and a fixed BLAS thread count.
+--threads gains little for spline fits: the scipy BLAS and LAPACK wrappers
+they spend most of their time in hold the GIL.
 
 Exit codes: 0 success, 2 input validation, 3 fit did not converge
-(artifacts are still written), 4 internal error.
+(artifacts are still written) or its density grid is not finite (the
+report and coefficients of fit are still written), 4 internal error.
 """
 
 import argparse
@@ -37,13 +40,17 @@ class ValidationError(TriDensityError):
     """Bad command line input or input files."""
 
 
+class NonFiniteDensity(TriDensityError):
+    """A density grid holds non-finite values inside the domain."""
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except DidNotConverge as exc:
-        _error_json("DidNotConverge", str(exc), EXIT_CONVERGENCE)
+    except (DidNotConverge, NonFiniteDensity) as exc:
+        _error_json(type(exc).__name__, str(exc), EXIT_CONVERGENCE)
         return EXIT_CONVERGENCE
     except (ValidationError, MeshError, PointOutsideDomain, UnsupportedSmoothness,
             ValueError) as exc:
@@ -209,11 +216,19 @@ def _write_json(path, obj):
 
 def _grid_csv(tr, resolution, values_fn):
     """Density grid CSV text: cell centers of the bounding box, row-major in
-    x then y; out-of-domain cells carry density 0 and in_domain 0."""
+    x then y; out-of-domain cells carry density 0 and in_domain 0. Raises
+    NonFiniteDensity, naming how many, if an in-domain cell is not finite."""
     pts, _ = cell_grid(tr, resolution)
     values, inside = values_fn(pts)
-    columns = (pts[:, 0].tolist(), pts[:, 1].tolist(),
-               np.asarray(values, dtype=float).tolist(), np.asarray(inside, dtype=int).tolist())
+    values, inside = np.asarray(values, dtype=float), np.asarray(inside, dtype=bool)
+    n_bad = int(np.count_nonzero(~np.isfinite(values[inside])))
+    if n_bad:
+        raise NonFiniteDensity(
+            f"{n_bad} of {int(inside.sum())} in-domain cells of the {resolution}x{resolution} "
+            f"density grid are not finite"
+        )
+    columns = (pts[:, 0].tolist(), pts[:, 1].tolist(), values.tolist(),
+               inside.astype(int).tolist())
     lines = ["x,y,density,in_domain"]
     lines.extend(f"{x!r},{y!r},{v!r},{flag}" for x, y, v, flag in zip(*columns))
     return "\n".join(lines) + "\n"
@@ -324,7 +339,8 @@ def _coefficients_csv(tr, spec, gamma):
 def _read_coefficients(path, tr, spec):
     from .bernstein import index_set
 
-    triples = {ijk: pos for pos, ijk in enumerate(index_set(spec.degree))}
+    order = index_set(spec.degree)
+    triples = {ijk: pos for pos, ijk in enumerate(order)}
     dim = spec.per_triangle_dim
     gamma = np.empty(spec.dimension(tr))
     line_of = np.zeros(len(gamma), dtype=np.int64)  # 0 until the coefficient is read
@@ -347,8 +363,14 @@ def _read_coefficients(path, tr, spec):
                 line_of[pos] = lineno
             except (ValueError, KeyError, IndexError) as exc:
                 raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
-    if not line_of.all():
-        raise ValidationError(f"{path}: incomplete coefficient table")
+    missing = np.flatnonzero(line_of == 0)
+    if missing.size:
+        t, pos = divmod(int(missing[0]), dim)
+        i, j, k = order[pos]
+        raise ValidationError(
+            f"{path}: incomplete coefficient table: {missing.size} missing, first "
+            f"triangle {t}, (i, j, k) = ({i}, {j}, {k})"
+        )
     return gamma
 
 

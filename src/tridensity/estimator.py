@@ -139,11 +139,6 @@ class ModelSpace:
     def gamma(self, theta):
         return self.basis @ theta
 
-    def integral_exp(self, theta):
-        """Quadrature value of integral exp(g_theta) over the domain."""
-        eta = np.minimum(self.quad_basis @ theta, EXP_CAP)
-        return float(self.quad_weights @ np.exp(eta))
-
 
 @dataclass
 class Workspace:
@@ -237,9 +232,10 @@ class DensityFit:
     """Converged (or best-effort) density estimate.
 
     gamma holds the full per-triangle coefficients of the log density;
-    log_norm_const is the log of integral exp(g) at the solution and is
-    subtracted during evaluation so reported densities integrate to one
-    exactly under the fitting quadrature.
+    log_norm_const is log_integral_exp of gamma, the one normalizing
+    constant that density (through density_from_gamma) subtracts, so
+    reported densities integrate to one exactly under the fitting
+    quadrature.
     """
 
     space: ModelSpace
@@ -264,10 +260,7 @@ class DensityFit:
 
         Points outside the domain report density zero with flag False.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return density_from_gamma(
-            self.tr, self.spec, self.gamma, pts, log_norm_const=self.log_norm_const
-        )
+        return density_from_gamma(self.tr, self.spec, self.gamma, points)
 
 
 def log_integral_exp(tr, spec, gamma):
@@ -280,10 +273,11 @@ def log_integral_exp(tr, spec, gamma):
     return float(np.log(val))
 
 
-def density_from_gamma(tr, spec, gamma, points, log_norm_const=None):
-    """Evaluate exp(g - log_norm_const) at points from raw coefficients."""
-    if log_norm_const is None:
-        log_norm_const = log_integral_exp(tr, spec, gamma)
+def density_from_gamma(tr, spec, gamma, points):
+    """Density exp(g - log_integral_exp(tr, spec, gamma)) at points from
+    raw coefficients, and an inside-domain flag per point; points outside
+    the domain report density zero."""
+    log_norm_const = log_integral_exp(tr, spec, gamma)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     ev = evaluation_matrix(tr, spec, pts, allow_outside=True)
     inside = ev.triangle_index >= 0
@@ -387,7 +381,7 @@ def newton(work, theta0):
         theta=theta,
         gamma=gamma,
         lam=work.lam,
-        log_norm_const=float(np.log(space.integral_exp(theta))),
+        log_norm_const=log_integral_exp(space.tr, space.spec, gamma),
         objective_trace=trace,
         converged=converged,
         iterations=iterations,

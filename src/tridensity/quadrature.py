@@ -1,8 +1,9 @@
 """Fixed quadrature rules on triangles and whole-domain integration.
 
 Rules store barycentric nodes and per-node weights relative to triangle
-area, so integrate_triangle is area * sum(w * f(node)). Weights of every
-rule sum to one.
+area, so a triangle's integral is area * sum(w * f(node)). Weights of
+every rule sum to one. integrate_domain is the one integrator; a single
+triangle is a one-triangle Triangulation.
 """
 
 from dataclasses import dataclass
@@ -24,10 +25,6 @@ class QuadRule:
     def __post_init__(self):
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
-
-    def cartesian_nodes(self, tri_coords):
-        """Map the barycentric nodes onto one triangle, (n, 2)."""
-        return self.nodes @ np.asarray(tri_coords, dtype=float)
 
 
 def _orbit3(a):
@@ -106,21 +103,6 @@ def conical_rule(degree):
             nodes.append((1.0 - x - y, x, y))
             weights.append(wsi * wtj / 4.0)
     return QuadRule(np.array(nodes), np.array(weights), exactness=2 * n - 1)
-
-
-def integrate_triangle(f, tri_coords, rule):
-    """Integrate f over one triangle: area * sum(weights * f(nodes)).
-
-    f maps an (n, 2) array of points to n values and must be finite at
-    every node.
-    """
-    tri_coords = np.asarray(tri_coords, dtype=float)
-    vals = np.asarray(f(rule.cartesian_nodes(tri_coords)), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteIntegrand("integrand is not finite at a quadrature node")
-    (x0, y0), (x1, y1), (x2, y2) = tri_coords
-    area = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)) / 2.0
-    return area * float(rule.weights @ vals)
 
 
 def domain_nodes(tr, rule):

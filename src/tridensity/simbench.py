@@ -488,9 +488,11 @@ def run_benchmark(scenario, n, reps, methods=("bpst", "kde"), seed=0,
 
     Replication r derives its seed as seed XOR r, so results are a pure
     function of (scenario, n, reps, seed) and independent of the thread
-    count. Failed replications are excluded from the aggregates and
-    reported per method. Bad reps, n, folds, lambda_grid values or
-    mise_resolution raise ValueError before any sampling or fitting.
+    count; threads > 1 gains little for bpst, whose fits spend most of
+    their time in scipy BLAS and LAPACK wrappers that hold the GIL. Failed
+    replications are excluded from the aggregates and reported per method.
+    Bad reps, n, folds, lambda_grid values or mise_resolution raise
+    ValueError before any sampling or fitting.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")

@@ -19,7 +19,6 @@ from tridensity.assets import load_bundled_mesh
 from tridensity.bernstein import SplineSpec, evaluate, interpolate_function
 from tridensity.estimator import FitConfig, ModelSpace, fit, gradient, hessian, make_workspace, objective
 from tridensity.geometry import Triangulation, barycentric
-from tridensity.model_selection import fold_error
 from tridensity.quadrature import conical_rule, rule_9
 from tridensity.simbench import (
     KernelDensity,
@@ -229,14 +228,18 @@ def test_09_sim2_boundary_contrast():
 
 
 def test_10_cv_analytic_anchor(rng):
+    """theta = 0 is the constant density 1/area; CV's held-out score of it
+    is -1/area."""
+    spec = SplineSpec(3, 1)
     for mesh_name in ("square_unit_32", "horseshoe_112"):
         tr = load_bundled_mesh(mesh_name)
-        c = 1.0 / tr.area
-        fn = lambda pts: np.full(len(np.atleast_2d(pts)), c)
-        xmin, xmax, ymin, ymax = tr.bounding_box()
+        space = ModelSpace(tr, spec)
+        theta = np.zeros(space.n_free)
+        log_c = estimator.log_integral_exp(tr, spec, space.gamma(theta))
         test_pts = sample(scenario_sim2(), 40, seed=2) if "horseshoe" in mesh_name \
             else rng.random((40, 2))
-        err = fold_error(fn, tr, test_pts)
+        err = model_selection.held_out_score(space, theta, log_c,
+                                             space.data_basis(test_pts)[0])
         assert abs(err - (-1.0 / tr.area)) <= 1e-10
     _report(10, "constant-density score equals -1/area")
 

@@ -8,7 +8,8 @@ import sys
 import types
 
 import tridensity
-from tridensity import errors, estimator, geometry, model_selection, simbench, spline_space
+from tridensity import (errors, estimator, geometry, model_selection, quadrature, simbench,
+                        spline_space)
 
 
 def test_exported_names_resolve_and_exclude_modules():
@@ -18,13 +19,13 @@ def test_exported_names_resolve_and_exclude_modules():
     for gone in ("GridIndex", "FoldFitFailed", "eval_density", "cv_error", "kde_baseline",
                  "roughness", "dump_coo", "ConstraintSystem", "build_constraints",
                  "initial_histogram", "initial_lss", "InitialDensity", "vertex_neighborhood",
-                 "EnvelopeViolated"):
+                 "EnvelopeViolated", "integrate_triangle", "fold_error"):
         assert gone not in tridensity.__all__
         assert not hasattr(tridensity, gone)
 
 
 def test_exported_names_are_their_modules_objects():
-    assert len(tridensity.__all__) == 55
+    assert len(tridensity.__all__) == 54
     for name in tridensity.__all__:
         module = importlib.import_module(f"tridensity.{tridensity._ORIGIN[name]}")
         assert getattr(tridensity, name) is getattr(module, name), name
@@ -78,7 +79,10 @@ def test_removed_helpers_and_options_stay_gone():
                          (simbench, "kde_baseline"), (estimator, "initial_histogram"),
                          (estimator, "initial_lss"), (estimator, "InitialDensity"),
                          (geometry, "vertex_neighborhood"), (mesh, "_vertex_to_triangles"),
-                         (errors, "EnvelopeViolated"), (simbench, "EnvelopeViolated")):
+                         (errors, "EnvelopeViolated"), (simbench, "EnvelopeViolated"),
+                         (model_selection, "fold_error"), (quadrature, "integrate_triangle"),
+                         (quadrature.QuadRule, "cartesian_nodes"),
+                         (estimator.ModelSpace, "integral_exp")):
         assert not hasattr(module, name), name
     space = estimator.ModelSpace(mesh, estimator.FitConfig().spec)
     for gone in ("constraints", "penalty"):
@@ -92,6 +96,7 @@ def test_removed_helpers_and_options_stay_gone():
                        (estimator.hessian, ["theta", "work"]),
                        (estimator.seed_theta, ["space", "triangle_index"]),
                        (estimator.init_theta, ["space", "values"]),
+                       (estimator.density_from_gamma, ["tr", "spec", "gamma", "points"]),
                        (model_selection.select_lambda,
                         ["tr", "points", "spec", "lambda_grid", "folds", "seed", "space",
                          "threads"]),

@@ -148,6 +148,52 @@ def test_fit_nonconvergence_exit3(tmp_path, data_csv, capsys, monkeypatch):
     assert (out / "coefficients.csv").exists()
 
 
+def _horseshoe_overflow_fit(tmp_path, grid):
+    """fit of 300 sim2 points on horseshoe_112 at lambda 1e-3. Triangles
+    108-111 meet the rest of the mesh only at vertices and hold one point,
+    so the likelihood is unbounded there; Newton stops on a step that
+    lowers the objective by exactly 0 and reports converged, with a density
+    that overflows to inf in 4 cells of the 60 x 60 grid."""
+    data = tmp_path / "overflow_data.csv"
+    write_points(data, simbench.sample(simbench.get_scenario("sim2"), 300, 4))
+    fitdir = tmp_path / "overflow_fit"
+    code = cli.main([
+        "fit", "--bundled-mesh", "horseshoe_112", "--data", str(data),
+        "--lambda", "1e-3", "--grid", str(grid), "--out", str(fitdir),
+    ])
+    return code, fitdir
+
+
+def _assert_nonfinite_grid_error(capsys):
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["exit_code"]) == ("NonFiniteDensity", 3)
+    assert err["message"].startswith("4 of ") and "not finite" in err["message"]
+
+
+def test_fit_nonfinite_grid_exit3(tmp_path, capsys):
+    """A grid cell inside the domain that is not finite exits 3; the report
+    and coefficients are written, the grid is not."""
+    code, fitdir = _horseshoe_overflow_fit(tmp_path, 60)
+    assert code == 3
+    _assert_nonfinite_grid_error(capsys)
+    assert json.loads((fitdir / "fit_report.json").read_text())["converged"] is True
+    assert (fitdir / "coefficients.csv").exists()
+    assert not (fitdir / "density_grid.csv").exists()
+
+
+def test_density_nonfinite_grid_exit3(tmp_path, capsys):
+    code, fitdir = _horseshoe_overflow_fit(tmp_path, 0)
+    assert code == 0
+    capsys.readouterr()
+    dens = tmp_path / "dens.csv"
+    assert cli.main([
+        "density", "--bundled-mesh", "horseshoe_112", "--fit-dir", str(fitdir),
+        "--grid", "60", "--out", str(dens),
+    ]) == 3
+    _assert_nonfinite_grid_error(capsys)
+    assert not dens.exists()
+
+
 def _rejected(tmp_path, capsys, argv, kind):
     """argv exits 2 with an error of this kind and writes nothing."""
     out = tmp_path / "rejected"
@@ -354,12 +400,14 @@ def test_density_rejects_another_schema_version(tmp_path, data_csv, capsys):
     assert err["error"] == "ValidationError" and "refit" in err["message"]
 
 
-@pytest.mark.parametrize("fault", ["repeated_row", "inf_value", "nan_value", "no_spec",
-                                   "no_spec_r", "float_spec_m", "report_not_object"])
+@pytest.mark.parametrize("fault", ["repeated_row", "inf_value", "nan_value", "missing_rows",
+                                   "no_spec", "no_spec_r", "float_spec_m",
+                                   "report_not_object"])
 def test_density_rejects_bad_fit_artifact(tmp_path, data_csv, capsys, fault):
-    """A coefficient file that repeats a coefficient or holds a non-finite
-    value, or a report that is no JSON object or has no integer spec.m and
-    spec.r, gives exit 2, names the line or key, and writes nothing."""
+    """A coefficient file that repeats a coefficient, holds a non-finite
+    value or lacks one, or a report that is no JSON object or has no
+    integer spec.m and spec.r, gives exit 2, names the line, coefficient or
+    key, and writes nothing."""
     fitdir = _fit_unit32(tmp_path, data_csv)
     coeff_path, report_path = fitdir / "coefficients.csv", fitdir / "fit_report.json"
     lines = coeff_path.read_text().splitlines()
@@ -372,6 +420,11 @@ def test_density_rejects_bad_fit_artifact(tmp_path, data_csv, capsys, fault):
         value = fault[:3]
         lines[2] = ",".join(lines[2].split(",")[:4] + [value])
         expected = f"line 3: value '{value}' is not finite"
+    elif fault == "missing_rows":  # triangle 5's (2, 1, 0) is the first gap
+        dropped = [line for line in lines if line.startswith(("5,2,1,0,", "7,"))]
+        lines = [line for line in lines if line not in dropped]
+        assert len(dropped) == 11
+        expected = "11 missing, first triangle 5, (i, j, k) = (2, 1, 0)"
     elif fault == "no_spec":
         del report["spec"]
         expected = "key spec.m"
@@ -395,6 +448,25 @@ def test_density_rejects_bad_fit_artifact(tmp_path, data_csv, capsys, fault):
     assert not dens.exists()
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError" and expected in err["message"], err
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fit_grid_equals_density_grid(tmp_path, seed):
+    """fit --grid and density --grid write the same bytes: both normalize
+    with the one log_integral_exp of the fitted coefficients."""
+    data = tmp_path / "data.csv"
+    write_points(data, np.random.default_rng(seed).random((200, 2)))
+    fitdir = tmp_path / "fit"
+    assert cli.main([
+        "fit", "--bundled-mesh", "square_unit_32", "--data", str(data),
+        "--lambda", "1e-2", "--grid", "60", "--out", str(fitdir),
+    ]) == 0
+    dens = tmp_path / "dens.csv"
+    assert cli.main([
+        "density", "--bundled-mesh", "square_unit_32", "--fit-dir", str(fitdir),
+        "--grid", "60", "--out", str(dens),
+    ]) == 0
+    assert dens.read_bytes() == (fitdir / "density_grid.csv").read_bytes()
 
 
 def test_density_missing_artifacts(tmp_path, capsys):

@@ -520,9 +520,10 @@ def _mirrored_newton(work, theta0):
         grad_max = float(np.abs(gradient(theta, work)).max())
         converged = grad_max <= grad_tol
 
+    gamma = space.gamma(theta)
     result = estimator.DensityFit(
-        space=space, theta=theta, gamma=space.gamma(theta), lam=work.lam,
-        log_norm_const=float(np.log(space.integral_exp(theta))),
+        space=space, theta=theta, gamma=gamma, lam=work.lam,
+        log_norm_const=estimator.log_integral_exp(space.tr, space.spec, gamma),
         objective_trace=trace, converged=converged, iterations=iterations,
     )
     if not converged:

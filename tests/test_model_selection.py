@@ -10,7 +10,7 @@ from tridensity.estimator import EXP_CAP, ModelSpace, make_workspace, newton
 from tridensity.model_selection import (
     DEFAULT_LAMBDA_GRID,
     fold_assignments,
-    fold_error,
+    held_out_score,
     pick_best,
     select_lambda,
 )
@@ -35,10 +35,12 @@ def test_fold_assignments_validation():
 
 
 def test_constant_density_anchor(unit32, rng):
-    c = 1.0 / unit32.area
-    fn = lambda pts: np.full(len(np.atleast_2d(pts)), c)
-    test_pts = rng.random((17, 2))
-    err = fold_error(fn, unit32, test_pts)
+    """theta = 0 is the constant density 1/area, whose score is -1/area."""
+    spec = SplineSpec(3, 1)
+    space = ModelSpace(unit32, spec)
+    theta = np.zeros(space.n_free)
+    log_c = estimator.log_integral_exp(unit32, spec, space.gamma(theta))
+    err = held_out_score(space, theta, log_c, space.data_basis(rng.random((17, 2)))[0])
     assert abs(err - (-1.0 / unit32.area)) <= 1e-10
 
 
