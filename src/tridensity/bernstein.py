@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse
 
-from .errors import PointOutsideDomain, UnsupportedSmoothness
+from .errors import UnsupportedSmoothness
 from .geometry import barycentric
 
 
@@ -72,21 +72,13 @@ def _exponents(m):
 def evaluate(m, bary):
     """Evaluate all degree-m basis polynomials at barycentric points.
 
-    bary is a (3,) triple or an (n, 3) array; the result has shape (dim,)
-    or (n, dim) in canonical order. At any point with nonnegative
-    coordinates the values are a partition of unity.
+    bary is an (n, 3) array; the result is (n, dim) in canonical order. At
+    any point with nonnegative coordinates the values are a partition of
+    unity (at m = 0 the one basis function is the constant one).
     """
     b = np.asarray(bary, dtype=float)
-    single = b.ndim == 1
-    b = np.atleast_2d(b)
-    if m == 0:
-        out = np.ones((len(b), 1))
-        return out[0] if single else out
     ii, jj, kk = _exponents(m)
-    out = _multinomials(m) * (
-        b[:, 0:1] ** ii * b[:, 1:2] ** jj * b[:, 2:3] ** kk
-    )
-    return out[0] if single else out
+    return _multinomials(m) * (b[:, 0:1] ** ii * b[:, 1:2] ** jj * b[:, 2:3] ** kk)
 
 
 @lru_cache(maxsize=None)
@@ -141,55 +133,39 @@ def derivative(m, tri_coords, orders, bary):
     orders = (ax, ay) selects d^ax/dx^ax d^ay/dy^ay. The derivative is
     exact: barycentric lowering recursion composed with the constant
     Jacobian of the barycentric forms. Orders beyond m return zeros.
-    tri_coords is one triangle's (3, 2) corners, giving (dim,) for a (3,)
-    triple and (n, dim) for (n, 3) triples, or an (N, 3, 2) stack, giving
-    (N, dim) or (N, n, dim), the same points in each triangle.
+    bary is an (n, 3) array. tri_coords is one triangle's (3, 2) corners,
+    giving (n, dim), or an (N, 3, 2) stack, giving (N, n, dim), the same
+    points in each triangle.
     """
     ax, ay = orders
     if ax < 0 or ay < 0:
         raise ValueError("derivative orders must be nonnegative")
     b = np.asarray(bary, dtype=float)
-    single = b.ndim == 1
-    b = np.atleast_2d(b)
     total = ax + ay
     dbdx, dbdy = barycentric_gradients(tri_coords)
     shape = dbdx.shape[:-1] + (len(b), len(index_set(m)))
     if total > m:
-        vals = np.zeros(shape)
-    else:
-        vals = evaluate(m - total, b)
-        for step, direction in enumerate([dbdx] * ax + [dbdy] * ay):
-            vals = _raise_derivative(m - total + 1 + step, direction, vals)
-        if vals.shape != shape:  # order 0 on a stack of triangles
-            vals = np.broadcast_to(vals, shape).copy()
-    return vals[..., 0, :] if single else vals
+        return np.zeros(shape)
+    vals = evaluate(m - total, b)
+    for step, direction in enumerate([dbdx] * ax + [dbdy] * ay):
+        vals = _raise_derivative(m - total + 1 + step, direction, vals)
+    if vals.shape != shape:  # order 0 on a stack of triangles
+        vals = np.broadcast_to(vals, shape).copy()
+    return vals
 
 
-@dataclass
-class EvalMatrix:
-    """Sparse basis evaluation matrix with per-row triangle provenance.
-
-    Row p holds the basis values of the triangle containing point p within
-    that triangle's column block; triangle_index[p] is -1 for points
-    outside the domain and those rows are zero, never silently dropped.
-    """
-
-    matrix: sparse.csr_matrix
-    triangle_index: np.ndarray
-
-
-def evaluation_matrix(tr, spec, points, allow_outside=False):
+def evaluation_matrix(tr, spec, points):
     """Assemble the points-by-coefficients evaluation matrix.
 
-    Raises PointOutsideDomain listing offending row indices unless
-    allow_outside is set, in which case those rows are zero and flagged
-    through triangle_index.
+    points is an (n, 2) array. Returns (matrix, triangle_index): row p of
+    the sparse (n, spec.dimension(tr)) matrix holds the basis values of the
+    triangle containing point p within that triangle's column block, and
+    triangle_index[p] is that triangle (Triangulation.locate). Rows of
+    points outside the domain are zero, with index -1, never dropped.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
     t_idx = tr.locate(pts)
     inside = t_idx >= 0
-    if not (allow_outside or inside.all()):
-        raise PointOutsideDomain(np.flatnonzero(~inside).tolist())
     dim = spec.per_triangle_dim
     t_in = t_idx[inside]
     basis = evaluate(spec.degree, barycentric(tr.triangle_coords(t_in), pts[inside]))
@@ -199,47 +175,4 @@ def evaluation_matrix(tr, spec, points, allow_outside=False):
     matrix = sparse.csr_matrix(
         (basis.ravel(), indices, indptr), shape=(len(pts), spec.dimension(tr))
     )
-    return EvalMatrix(matrix=matrix, triangle_index=t_idx)
-
-
-def domain_points(m, tri_coords):
-    """Domain points (i*v1 + j*v2 + k*v3)/m of a triangle, canonical order."""
-    tri_coords = np.asarray(tri_coords, dtype=float)
-    if m == 0:
-        return tri_coords.mean(axis=0, keepdims=True)
-    ii, jj, kk = _exponents(m)
-    w = np.stack([ii, jj, kk], axis=1) / m
-    return w @ tri_coords
-
-
-@lru_cache(maxsize=None)
-def _collocation_solver(m):
-    """LU factorization of the Bernstein collocation matrix at domain points.
-
-    The matrix is triangle independent because domain points have fixed
-    barycentric coordinates (i/m, j/m, k/m).
-    """
-    from scipy.linalg import lu_factor
-
-    bary = np.array(index_set(m), dtype=float) / max(m, 1)
-    mat = evaluate(m, bary)
-    return lu_factor(mat)
-
-
-def interpolate_function(tr, spec, fn):
-    """Coefficients reproducing fn by domain-point interpolation per triangle.
-
-    fn maps an (n, 2) array to n values. Exact (up to conditioning) for
-    any polynomial of total degree <= spec.degree.
-    """
-    from scipy.linalg import lu_solve
-
-    m = spec.degree
-    solver = _collocation_solver(m)
-    gamma = np.empty(spec.dimension(tr))
-    dim = spec.per_triangle_dim
-    for t in range(tr.n_triangles):
-        pts = domain_points(m, tr.triangle_coords(t))
-        vals = np.asarray(fn(pts), dtype=float)
-        gamma[t * dim:(t + 1) * dim] = lu_solve(solver, vals)
-    return gamma
+    return matrix, t_idx

@@ -56,9 +56,6 @@ def main(argv=None):
             ValueError) as exc:
         _error_json(type(exc).__name__, str(exc), EXIT_VALIDATION)
         return EXIT_VALIDATION
-    except TriDensityError as exc:
-        _error_json(type(exc).__name__, str(exc), EXIT_INTERNAL)
-        return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - map anything else to exit 4
         _error_json(type(exc).__name__, str(exc), EXIT_INTERNAL)
         return EXIT_INTERNAL

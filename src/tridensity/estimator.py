@@ -19,7 +19,7 @@ from scipy.linalg import blas
 
 from . import bernstein, spline_space
 from .bernstein import SplineSpec, evaluation_matrix
-from .errors import DidNotConverge, SingularSystem
+from .errors import DidNotConverge, PointOutsideDomain, SingularSystem
 from .quadrature import domain_nodes, rule_9
 from .spline_space import penalty_matrix
 
@@ -133,8 +133,11 @@ class ModelSpace:
         """Reduced-basis design matrix at data points (dense rows) and the
         triangle of each point. Raises PointOutsideDomain naming the rows
         outside the mesh."""
-        ev = evaluation_matrix(self.tr, self.spec, points)
-        return ev.matrix @ self.basis, ev.triangle_index
+        matrix, triangle_index = evaluation_matrix(self.tr, self.spec, points)
+        outside = np.flatnonzero(triangle_index < 0)
+        if outside.size:
+            raise PointOutsideDomain(outside.tolist())
+        return matrix @ self.basis, triangle_index
 
     def gamma(self, theta):
         return self.basis @ theta
@@ -279,10 +282,10 @@ def density_from_gamma(tr, spec, gamma, points):
     the domain report density zero."""
     log_norm_const = log_integral_exp(tr, spec, gamma)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    ev = evaluation_matrix(tr, spec, pts, allow_outside=True)
-    inside = ev.triangle_index >= 0
+    matrix, triangle_index = evaluation_matrix(tr, spec, pts)
+    inside = triangle_index >= 0
     values = np.zeros(len(pts))
-    g = ev.matrix @ gamma
+    g = matrix @ gamma
     values[inside] = np.exp(g[inside] - log_norm_const)
     return values, inside
 

@@ -219,9 +219,9 @@ class Triangulation:
 
         Returns the lowest-indexed triangle whose barycentric coordinates
         are all >= -TOL_LOCATE, so points on shared edges resolve to the
-        lowest-indexed adjacent triangle. Returns -1 for points outside the
-        domain and for non-finite points. A single (2,) point yields an int
-        or None; an (n, 2) array yields an int64 array.
+        lowest-indexed adjacent triangle. points is an (n, 2) array; the
+        result is an (n,) int64 array, -1 for points outside the domain and
+        for non-finite points.
 
         Each point is tested only against the candidates of its cell in a
         bucket grid over the bounding box, built with the mesh; the
@@ -229,8 +229,6 @@ class Triangulation:
         passes is the lowest-indexed containing triangle.
         """
         pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
         grid = self._buckets
         found = np.full(len(pts), -1, dtype=np.int64)
         for lo in range(0, len(pts), _LOCATE_CHUNK):
@@ -248,8 +246,6 @@ class Triangulation:
             first = inside.argmax(axis=1)  # first True = lowest triangle index
             hit = inside[np.arange(len(rows)), first]
             found[lo + rows[hit]] = grid.triangles[cells[hit], first[hit]]
-        if single:
-            return None if found[0] < 0 else int(found[0])
         return found
 
 
@@ -327,13 +323,11 @@ def barycentric(tri_coords, points):
     tri_coords is one triangle's (3, 2) corner coordinates, or an
     (n, 3, 2) array holding the triangle of each of n points. The third
     coordinate is computed as 1 - b1 - b2, so the triple sums to one up
-    to rounding and reproduces the point affinely. A single (2,) point
-    yields a (3,) triple, an (n, 2) array an (n, 3) array.
+    to rounding and reproduces the point affinely. points is an (n, 2)
+    array; the result is an (n, 3) array.
     """
     c = np.asarray(tri_coords, dtype=float)
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
     t11 = c[..., 0, 0] - c[..., 2, 0]
     t12 = c[..., 1, 0] - c[..., 2, 0]
     t21 = c[..., 0, 1] - c[..., 2, 1]
@@ -342,8 +336,7 @@ def barycentric(tri_coords, points):
     rel = pts - c[..., 2, :]
     b1 = (t22 * rel[:, 0] - t12 * rel[:, 1]) / det
     b2 = (-t21 * rel[:, 0] + t11 * rel[:, 1]) / det
-    out = np.stack([b1, b2, 1.0 - b1 - b2], axis=1)
-    return out[0] if single else out
+    return np.stack([b1, b2, 1.0 - b1 - b2], axis=1)
 
 
 def load_mesh(vertices_source, triangles_source):

@@ -32,11 +32,6 @@ def _orbit3(a):
     return [(c, a, a), (a, c, a), (a, a, c)]
 
 
-def _orbit6(a, b):
-    c = 1.0 - a - b
-    return [(c, a, b), (c, b, a), (a, c, b), (b, c, a), (a, b, c), (b, a, c)]
-
-
 @lru_cache(maxsize=None)
 def rule_9():
     """Symmetric 9-node rule with polynomial exactness degree 5.
@@ -60,33 +55,14 @@ def rule_9():
 
 
 @lru_cache(maxsize=None)
-def rule_12():
-    """Symmetric 12-node rule with polynomial exactness degree 6.
-
-    Standard tabulated formula (Dunavant 1985, IJNME 21:1129-1148,
-    degree 6): two 3-fold orbits and one 6-fold orbit.
-    """
-    nodes, weights = [], []
-    for a, w in [
-        (0.249286745170910, 0.116786275726379),
-        (0.063089014491502, 0.050844906370207),
-    ]:
-        nodes.extend(_orbit3(a))
-        weights.extend([w] * 3)
-    nodes.extend(_orbit6(0.310352451033785, 0.053145049844816))
-    weights.extend([0.082851075618374] * 6)
-    return QuadRule(np.array(nodes), np.array(weights), exactness=6)
-
-
-@lru_cache(maxsize=None)
 def conical_rule(degree):
     """Conical-product Gauss rule of the requested exactness degree.
 
     Collapses a Gauss-Legendre by Gauss-Jacobi(1, 0) tensor grid onto the
     simplex through the Duffy substitution x = s(1-t), y = t. Node count
-    grows quadratically, so the fixed symmetric rules are preferred at low
-    degree; this rule exists for arbitrary degree and as an independently
-    constructed cross-check.
+    grows quadratically, so rule_9 is preferred up to degree 5; this rule
+    serves every higher degree (the roughness matrix above m = 4) and is an
+    independently constructed cross-check.
     """
     from scipy.special import roots_jacobi, roots_legendre
 

@@ -14,7 +14,7 @@ from scipy import linalg, sparse
 
 from . import bernstein
 from .geometry import barycentric
-from .quadrature import conical_rule, rule_9, rule_12
+from .quadrature import conical_rule, rule_9
 
 # Relative singular value threshold separating rank from null space.
 RANK_RTOL = 1e-9
@@ -117,20 +117,16 @@ def penalty_matrix(tr, spec):
 
     Entry (a, b) of a triangle block integrates
     gxx_a gxx_b + 2 gxy_a gxy_b + gyy_a gyy_b over that triangle. The
-    integrand has polynomial degree 2(m-2), so a fixed rule of at least
-    that exactness makes assembly exact; linear pieces have zero energy.
+    integrand has polynomial degree 2(m-2), so a rule of at least that
+    exactness makes assembly exact: rule_9 up to degree 5 (m <= 4), the
+    conical rule of that degree above. Linear pieces have zero energy.
     """
     m = spec.degree
     n = spec.dimension(tr)
     if m < 2:
         return sparse.csr_matrix((n, n))
     needed = 2 * (m - 2)
-    if needed <= 5:
-        rule = rule_9()
-    elif needed <= 6:
-        rule = rule_12()
-    else:
-        rule = conical_rule(needed)
+    rule = rule_9() if needed <= 5 else conical_rule(needed)
     w = rule.weights[:, None]
     corners = tr.triangle_coords(np.arange(tr.n_triangles))
     dxx, dxy, dyy = (bernstein.derivative(m, corners, orders, rule.nodes)

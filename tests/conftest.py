@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tridensity.bernstein import evaluate, index_set
 from tridensity.geometry import Triangulation
 
 
@@ -27,6 +28,18 @@ def starve_newton(monkeypatch, max_iters, grad_tol, tol):
     for name, value in (("MAX_ITERS", max_iters), ("GRAD_TOL", grad_tol),
                         ("OBJ_TOL", tol), ("STEP_TOL", tol)):
         monkeypatch.setattr(estimator, name, value)
+
+
+def interpolate(tr, spec, fn):
+    """Per-triangle Bernstein coefficients that reproduce fn at every
+    triangle's domain points (i*v1 + j*v2 + k*v3)/m, by collocation; exact
+    up to conditioning for polynomials of total degree <= m. fn maps an
+    (n, 2) array to n values; needs m >= 1."""
+    m = spec.degree
+    bary = np.array(index_set(m), dtype=float) / m
+    points = bary @ tr.vertices[tr.triangles]  # (N, dim, 2)
+    values = np.asarray(fn(points.reshape(-1, 2)), dtype=float).reshape(tr.n_triangles, -1)
+    return np.linalg.solve(evaluate(m, bary), values.T).T.ravel()
 
 
 def random_interior_bary(rng, n):

@@ -16,7 +16,7 @@ import pytest
 
 from tridensity import estimator, model_selection
 from tridensity.assets import load_bundled_mesh
-from tridensity.bernstein import SplineSpec, evaluate, interpolate_function
+from tridensity.bernstein import SplineSpec, evaluate
 from tridensity.estimator import FitConfig, ModelSpace, fit, gradient, hessian, make_workspace, objective
 from tridensity.geometry import Triangulation, barycentric
 from tridensity.quadrature import conical_rule, rule_9
@@ -32,7 +32,7 @@ from tridensity.simbench import (
 )
 from tridensity.spline_space import nullspace, penalty_matrix, smoothness_matrix
 
-from conftest import random_interior_bary, random_triangle
+from conftest import interpolate, random_interior_bary, random_triangle
 from test_bernstein import _fd_derivative
 from test_spline_space import edge_points, interior_edges, piece_value
 
@@ -52,7 +52,7 @@ def test_01_basis_correctness(rng):
     for m in (2, 3, 5):
         for _ in range(3):
             tri = random_triangle(rng)
-            point = np.array([0.4, 0.35, 0.25]) @ tri
+            point = np.array([[0.4, 0.35, 0.25]]) @ tri
             for orders in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
                 exact = derivative(m, tri, orders, barycentric(tri, point))
                 approx = _fd_derivative(m, tri, orders, point)
@@ -88,7 +88,7 @@ def test_03_penalty_matrix_oracle(square2, rng):
             direct = float(gamma @ (k @ gamma))
             indep = energy_by_quadrature(square2, spec, gamma, oracle_rule)
             assert abs(direct - indep) <= 1e-9 * abs(indep)
-        linear = interpolate_function(
+        linear = interpolate(
             square2, spec, lambda p: 1.7 - 0.4 * p[:, 0] + 2.2 * p[:, 1]
         )
         assert float(linear @ (k @ linear)) <= 1e-12 * float(linear @ linear)

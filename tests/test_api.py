@@ -8,8 +8,8 @@ import sys
 import types
 
 import tridensity
-from tridensity import (errors, estimator, geometry, model_selection, quadrature, simbench,
-                        spline_space)
+from tridensity import (bernstein, errors, estimator, geometry, model_selection, quadrature,
+                        simbench, spline_space)
 
 
 def test_exported_names_resolve_and_exclude_modules():
@@ -19,13 +19,14 @@ def test_exported_names_resolve_and_exclude_modules():
     for gone in ("GridIndex", "FoldFitFailed", "eval_density", "cv_error", "kde_baseline",
                  "roughness", "dump_coo", "ConstraintSystem", "build_constraints",
                  "initial_histogram", "initial_lss", "InitialDensity", "vertex_neighborhood",
-                 "EnvelopeViolated", "integrate_triangle", "fold_error"):
+                 "EnvelopeViolated", "integrate_triangle", "fold_error", "EvalMatrix",
+                 "interpolate_function", "domain_points", "rule_12"):
         assert gone not in tridensity.__all__
         assert not hasattr(tridensity, gone)
 
 
 def test_exported_names_are_their_modules_objects():
-    assert len(tridensity.__all__) == 54
+    assert len(tridensity.__all__) == 53
     for name in tridensity.__all__:
         module = importlib.import_module(f"tridensity.{tridensity._ORIGIN[name]}")
         assert getattr(tridensity, name) is getattr(module, name), name
@@ -82,7 +83,10 @@ def test_removed_helpers_and_options_stay_gone():
                          (errors, "EnvelopeViolated"), (simbench, "EnvelopeViolated"),
                          (model_selection, "fold_error"), (quadrature, "integrate_triangle"),
                          (quadrature.QuadRule, "cartesian_nodes"),
-                         (estimator.ModelSpace, "integral_exp")):
+                         (estimator.ModelSpace, "integral_exp"), (bernstein, "EvalMatrix"),
+                         (bernstein, "interpolate_function"), (bernstein, "domain_points"),
+                         (bernstein, "_collocation_solver"), (quadrature, "rule_12"),
+                         (quadrature, "_orbit6")):
         assert not hasattr(module, name), name
     space = estimator.ModelSpace(mesh, estimator.FitConfig().spec)
     for gone in ("constraints", "penalty"):
@@ -100,6 +104,7 @@ def test_removed_helpers_and_options_stay_gone():
                        (model_selection.select_lambda,
                         ["tr", "points", "spec", "lambda_grid", "folds", "seed", "space",
                          "threads"]),
+                       (bernstein.evaluation_matrix, ["tr", "spec", "points"]),
                        (spline_space.nullspace, ["h"]),
                        (simbench.horseshoe_function, ["points"]),
                        (simbench.bandwidth_candidates, ["points"])):

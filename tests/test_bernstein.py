@@ -4,17 +4,15 @@ import pytest
 from tridensity import bernstein
 from tridensity.bernstein import (
     SplineSpec,
-    domain_points,
     evaluate,
     evaluation_matrix,
     derivative,
     index_set,
-    interpolate_function,
 )
-from tridensity.errors import PointOutsideDomain, UnsupportedSmoothness
+from tridensity.errors import UnsupportedSmoothness
 from tridensity.geometry import barycentric
 
-from conftest import random_interior_bary, random_triangle
+from conftest import interpolate, random_interior_bary, random_triangle
 
 
 def test_index_set_order():
@@ -33,18 +31,20 @@ def test_spline_spec():
 
 
 def test_degree_zero_constant():
-    assert evaluate(0, (0.2, 0.3, 0.5)).tolist() == [1.0]
+    b = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert evaluate(0, b).tolist() == [[1.0], [1.0], [1.0]]
 
 
 def test_degree_one_equals_barycentric(rng):
     b = random_interior_bary(rng, 100)
     assert np.abs(evaluate(1, b) - b).max() <= 1e-14
-    single = evaluate(1, (0.2, 0.3, 0.5))
-    assert single == pytest.approx([0.2, 0.3, 0.5], abs=1e-15)
+    single = evaluate(1, [[0.2, 0.3, 0.5]])
+    assert single.shape == (1, 3)
+    assert single[0] == pytest.approx([0.2, 0.3, 0.5], abs=1e-15)
 
 
 def test_vertex_value_degree_two():
-    vals = evaluate(2, (1.0, 0.0, 0.0))
+    vals = evaluate(2, [[1.0, 0.0, 0.0]])[0]
     expected = np.zeros(6)
     expected[index_set(2).index((2, 0, 0))] = 1.0
     assert vals == pytest.approx(expected.tolist())
@@ -67,8 +67,9 @@ def test_linear_second_derivatives_vanish(rng):
 def test_reference_triangle_curvature():
     ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     # first basis function is b1^2 with b1 = 1 - x - y
-    vals = derivative(2, ref, (2, 0), (1 / 3, 1 / 3, 1 / 3))
-    assert vals[0] == pytest.approx(2.0)
+    vals = derivative(2, ref, (2, 0), [[1 / 3, 1 / 3, 1 / 3]])
+    assert vals.shape == (1, 6)
+    assert vals[0, 0] == pytest.approx(2.0)
 
 
 def _fd_derivative(m, tri, orders, point, h=1e-5):
@@ -78,6 +79,7 @@ def _fd_derivative(m, tri, orders, point, h=1e-5):
     the exact first-derivative field instead: a second difference of raw
     values at this step amplifies rounding to the size of the tolerance
     itself, while the first derivatives are independently validated below.
+    point is a (1, 2) array.
     """
     def ev(p):
         return evaluate(m, barycentric(tri, p))
@@ -102,7 +104,7 @@ def _fd_derivative(m, tri, orders, point, h=1e-5):
 def test_derivatives_match_finite_differences(m, rng):
     for _ in range(3):
         tri = random_triangle(rng)
-        point = np.array([1 / 2, 1 / 4, 1 / 4]) @ tri
+        point = np.array([[1 / 2, 1 / 4, 1 / 4]]) @ tri
         for orders in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
             exact = derivative(m, tri, orders, barycentric(tri, point))
             approx = _fd_derivative(m, tri, orders, point)
@@ -112,44 +114,35 @@ def test_derivatives_match_finite_differences(m, rng):
 
 def test_orders_beyond_degree_are_zero(rng):
     tri = random_triangle(rng)
-    assert np.abs(derivative(2, tri, (3, 0), (0.3, 0.3, 0.4))).max() == 0.0
+    vals = derivative(2, tri, (3, 0), [[0.3, 0.3, 0.4]])
+    assert vals.shape == (1, 6) and np.abs(vals).max() == 0.0
 
 
 def test_evaluation_matrix_shape_and_unity(square2):
     spec = SplineSpec(2, 0)
-    ev = evaluation_matrix(square2, spec, [[0.75, 0.25]])
-    assert ev.matrix.shape == (1, 12)
-    assert ev.matrix.nnz == 6
+    matrix, triangle_index = evaluation_matrix(square2, spec, [[0.75, 0.25]])
+    assert matrix.shape == (1, 12)
+    assert matrix.nnz == 6
+    assert triangle_index.tolist() == [0]
     # all coefficients equal to one reproduce the constant one
     ones = np.ones(12)
-    assert (ev.matrix @ ones)[0] == pytest.approx(1.0)
+    assert (matrix @ ones)[0] == pytest.approx(1.0)
 
 
 def test_evaluation_matrix_constant_coefficients(square2, rng):
     spec = SplineSpec(3, 1)
     pts = rng.random((40, 2))
-    ev = evaluation_matrix(square2, spec, pts)
+    matrix = evaluation_matrix(square2, spec, pts)[0]
     gamma = np.full(spec.dimension(square2), 2.5)
-    assert np.abs(ev.matrix @ gamma - 2.5).max() <= 1e-12
+    assert np.abs(matrix @ gamma - 2.5).max() <= 1e-12
 
 
 def test_evaluation_matrix_outside(square2):
-    with pytest.raises(PointOutsideDomain) as err:
-        evaluation_matrix(square2, SplineSpec(2, 0), [[0.5, 0.5], [3.0, 3.0]])
-    assert err.value.indices == [1]
-    ev = evaluation_matrix(
-        square2, SplineSpec(2, 0), [[0.5, 0.5], [3.0, 3.0]], allow_outside=True
-    )
-    assert ev.triangle_index.tolist() == [0, -1]
-    assert ev.matrix[1].nnz == 0
-
-
-def test_domain_points_layout():
-    ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    pts = domain_points(2, ref)
-    assert pts[0] == pytest.approx([0.0, 0.0])       # (2,0,0) -> v1
-    assert pts[1] == pytest.approx([0.5, 0.0])       # (1,1,0) -> edge midpoint
-    assert pts[-1] == pytest.approx([0.0, 1.0])      # (0,0,2) -> v3
+    """Outside rows are zero with index -1, never dropped or refused."""
+    pts = [[0.5, 0.5], [3.0, 3.0], [0.25, 0.5], [-1.0, 0.0]]
+    matrix, triangle_index = evaluation_matrix(square2, SplineSpec(2, 0), pts)
+    assert triangle_index.tolist() == [0, -1, 1, -1]
+    assert [matrix[p].nnz for p in range(4)] == [6, 0, 6, 0]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
@@ -164,9 +157,8 @@ def test_polynomial_reproduction(m, rng, unit32):
         return out
 
     spec = SplineSpec(m, 0)
-    gamma = interpolate_function(unit32, spec, poly)
+    gamma = interpolate(unit32, spec, poly)
     pts = rng.random((50, 2))
-    ev = evaluation_matrix(unit32, spec, pts)
-    got = ev.matrix @ gamma
+    got = evaluation_matrix(unit32, spec, pts)[0] @ gamma
     want = poly(pts)
     assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -568,4 +571,23 @@ def test_outputs_byte_identical(tmp_path, data_csv):
             "--out", str(out),
         ]) == 0
         outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_fit_outputs_byte_identical_across_processes(tmp_path, data_csv):
+    """Two fresh interpreters with one BLAS thread write the same bytes."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outs = []
+    for run in ("a", "b"):
+        out = tmp_path / f"fit_{run}"
+        proc = subprocess.run([
+            sys.executable, "-m", "tridensity.cli", "fit", "--bundled-mesh", "square_unit_32",
+            "--data", data_csv, "--lambda-grid", "1e-4,1e-2", "--folds", "3", "--grid", "30",
+            "--out", str(out),
+        ], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(outs[0]) == ["coefficients.csv", "density_grid.csv", "fit_report.json"]
     assert outs[0] == outs[1]

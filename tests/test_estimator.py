@@ -135,7 +135,7 @@ def test_initial_lss_positive_near_occupied():
     space = ModelSpace(tr, SplineSpec(1, 0))
     pts = [[0.05, 0.05], [0.1, 0.03]]  # corner triangle only
     values, _ = seed_of(space, pts)
-    occupied = int(tr.locate(pts[0]))
+    occupied = int(tr.locate(np.array(pts[:1]))[0])
     hood = vertex_neighborhoods_oracle(tr)[occupied]
     assert set(np.flatnonzero(values > 0.0).tolist()) == hood
     assert np.all(values >= 0.0)

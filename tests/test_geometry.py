@@ -91,11 +91,12 @@ def test_nonfinite_vertex_rejected():
 
 def test_barycentric_closed_forms(rng):
     tri = random_triangle(rng)
-    centroid = tri.mean(axis=0)
-    assert barycentric(tri, centroid) == pytest.approx([1 / 3, 1 / 3, 1 / 3])
-    assert barycentric(tri, tri[0]) == pytest.approx([1, 0, 0], abs=1e-14)
-    mid01 = (tri[0] + tri[1]) / 2
-    assert barycentric(tri, mid01) == pytest.approx([0.5, 0.5, 0.0], abs=1e-14)
+    centroid = tri.mean(axis=0, keepdims=True)
+    assert barycentric(tri, centroid)[0] == pytest.approx([1 / 3, 1 / 3, 1 / 3])
+    assert barycentric(tri, tri[:1])[0] == pytest.approx([1, 0, 0], abs=1e-14)
+    mid01 = (tri[:1] + tri[1:2]) / 2
+    assert barycentric(tri, mid01).shape == (1, 3)
+    assert barycentric(tri, mid01)[0] == pytest.approx([0.5, 0.5, 0.0], abs=1e-14)
 
 
 def test_barycentric_sum_and_reconstruction(rng):
@@ -111,10 +112,10 @@ def test_barycentric_sum_and_reconstruction(rng):
 
 
 def test_locate_basic(square2):
-    assert square2.locate(np.array([2 / 3, 1 / 3])) == 0
-    assert square2.locate(np.array([10.0, 10.0])) is None
+    assert square2.locate(np.array([[2 / 3, 1 / 3]])).tolist() == [0]
+    assert square2.locate(np.array([[10.0, 10.0]])).tolist() == [-1]
     # point on the shared diagonal goes to the lower-indexed triangle
-    assert square2.locate(np.array([0.5, 0.5])) == 0
+    assert square2.locate(np.array([[0.5, 0.5]])).tolist() == [0]
     idx = square2.locate(np.array([[0.9, 0.1], [0.1, 0.9], [5.0, 5.0]]))
     assert idx.tolist() == [0, 1, -1]
 
@@ -124,7 +125,7 @@ def test_locate_then_barycentric_consistent(unit32, rng):
     idx = unit32.locate(pts)
     assert np.all(idx >= 0)
     for p, t in zip(pts, idx):
-        assert barycentric(unit32.triangle_coords(t), p).min() >= -geometry.TOL_LOCATE
+        assert barycentric(unit32.triangle_coords(t), p[None]).min() >= -geometry.TOL_LOCATE
     bary = barycentric(unit32.triangle_coords(idx), pts)  # one triangle per point
     assert bary.shape == (200, 3) and bary.min() >= -geometry.TOL_LOCATE
 
@@ -133,8 +134,6 @@ def _scan_locate(tr, points, tol=geometry.TOL_LOCATE):
     """Reference point location: every point against every triangle, first
     hit in index order (the all-triangles scan locate once used)."""
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
     found = np.full(len(pts), -1, dtype=np.int64)
     chunk = max(1, int(2_000_000 // max(1, tr.n_triangles)))
     for lo in range(0, len(pts), chunk):
@@ -147,8 +146,6 @@ def _scan_locate(tr, points, tol=geometry.TOL_LOCATE):
         any_hit = inside.any(axis=0)
         first = inside.argmax(axis=0)  # first True = lowest triangle index
         found[lo:lo + chunk] = np.where(any_hit, first, -1)
-    if single:
-        return None if found[0] < 0 else int(found[0])
     return found
 
 
@@ -203,21 +200,21 @@ def test_locate_matches_scan_oracle(name, rng):
     if name == "sliver":
         assert mesh_quality(tr).min_angle_deg < 1.0
     pts = _oracle_points(tr, rng)
-    probes = (tr.vertices[0], [np.nan, 0.0], [1, 0], [1e308, 0.0])
+    probes = np.array([tr.vertices[0], [np.nan, 0.0], [1, 0], [1e308, 0.0]])
     with np.errstate(over="ignore", invalid="ignore"):
         expected = _scan_locate(tr, pts)
-        expected_singles = [_scan_locate(tr, p) for p in probes]
+        expected_singles = _scan_locate(tr, probes)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # huge and non-finite rows warn nothing
         got = tr.locate(pts)
-        singles = [tr.locate(p) for p in probes]
+        singles = [tr.locate(p[None]) for p in probes]  # one (1, 2) array each
     assert got.dtype == np.int64
     assert np.array_equal(got, expected)
     assert np.any(got >= 0) and np.any(got < 0)
     empty = tr.locate(np.empty((0, 2)))
     assert empty.shape == (0,) and empty.dtype == np.int64
-    assert singles == expected_singles
-    assert all(one is None or type(one) is int for one in singles)
+    assert all(one.shape == (1,) and one.dtype == np.int64 for one in singles)
+    assert np.array_equal(np.concatenate(singles), expected_singles)
 
 
 def test_mesh_quality_equilateral():

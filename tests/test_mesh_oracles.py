@@ -22,7 +22,7 @@ from tridensity.bernstein import SplineSpec, evaluate, evaluation_matrix
 from tridensity.errors import (DegenerateTriangle, IndexOutOfRange, MeshError, NonConforming,
                                PointOutsideDomain, UnsupportedSmoothness)
 from tridensity.geometry import Triangulation
-from tridensity.quadrature import conical_rule, rule_9, rule_12
+from tridensity.quadrature import conical_rule, rule_9
 from tridensity.spline_space import penalty_matrix, smoothness_matrix
 
 from conftest import grid_mesh
@@ -207,7 +207,7 @@ def _parent_smoothness_matrix(tr, spec):
         pos_lo = _vertex_positions(tr.triangles[t_lo], (off_lo, va, vb))
         pos_hi = _vertex_positions(tr.triangles[t_hi], (off_hi, vb, va))
         for rho in range(r + 1):
-            weights = bernstein.evaluate(rho, abg)
+            weights = bernstein.evaluate(rho, abg[None])[0]
             rho_set = bernstein.index_set(rho)
             for j in range(m - rho, -1, -1):
                 k = m - rho - j
@@ -250,8 +250,6 @@ def _parent_penalty_matrix(tr, spec):
     needed = 2 * (m - 2)
     if needed <= 5:
         rule = rule_9()
-    elif needed <= 6:
-        rule = rule_12()
     else:
         rule = conical_rule(needed)
     w = rule.weights
@@ -401,7 +399,7 @@ def test_smoothness_matrix_matches_parent(mesh_pair, m, r):
     _assert_same_csr(smoothness_matrix(tr, spec), _parent_smoothness_matrix(parent, spec))
 
 
-@pytest.mark.parametrize("m", range(8))  # rule_9, rule_12 and conical rules
+@pytest.mark.parametrize("m", range(8))  # rule_9 and conical rules
 def test_penalty_matrix_matches_parent(mesh_pair, m):
     name, tr, parent = mesh_pair
     spec = SplineSpec(m, 0)
@@ -415,7 +413,7 @@ def test_stacked_derivative_matches_per_triangle(mesh_pair, m):
     bary = np.random.default_rng(m).dirichlet([1.0, 1.0, 1.0], size=7)
     for ax in range(4):
         for ay in range(4 - ax):  # orders above m included
-            for b in (bary, bary[0]):
+            for b in (bary, bary[:1]):
                 stacked = bernstein.derivative(m, corners, (ax, ay), b)
                 each = np.array([bernstein.derivative(m, c, (ax, ay), b) for c in corners])
                 assert stacked.shape == each.shape and np.array_equal(stacked, each)
@@ -489,31 +487,44 @@ def test_evaluation_matrix_matches_parent(mesh_pair, m):
     rng = np.random.default_rng(m)
     pts = _eval_points(tr, rng)
     with np.errstate(over="ignore", invalid="ignore"):
-        ev = evaluation_matrix(tr, spec, pts, allow_outside=True)
+        matrix, triangle_index = evaluation_matrix(tr, spec, pts)
         old, old_idx = _parent_evaluation_matrix(tr, parent, spec, pts, allow_outside=True)
-    assert np.array_equal(ev.triangle_index, old_idx)
+    assert np.array_equal(triangle_index, old_idx)
     assert np.any(old_idx < 0) and np.any(old_idx >= 0)
-    _assert_same_csr(ev.matrix, old)
+    _assert_same_csr(matrix, old)
     gamma = rng.standard_normal(spec.dimension(tr))
     dense = rng.standard_normal((spec.dimension(tr), 4))
-    assert np.array_equal(ev.matrix @ gamma, old @ gamma)
-    assert np.array_equal(ev.matrix @ dense, old @ dense)
+    assert np.array_equal(matrix @ gamma, old @ gamma)
+    assert np.array_equal(matrix @ dense, old @ dense)
 
     inside = pts[old_idx >= 0]
-    _assert_same_csr(evaluation_matrix(tr, spec, inside).matrix,
+    _assert_same_csr(evaluation_matrix(tr, spec, inside)[0],
                      _parent_evaluation_matrix(tr, parent, spec, inside)[0])
+
+
+@pytest.mark.parametrize("name", ["square_unit_32", "horseshoe_112", "sliver", "unused_vertex"])
+def test_data_basis_refuses_outside_as_parent(name):
+    """ModelSpace.data_basis raises what the parent evaluation matrix
+    raised without allow_outside: the same rows, the same message."""
+    from tridensity.estimator import ModelSpace
+
+    verts, tris = _mesh_arrays(name)
+    tr, parent = Triangulation(verts, tris), _ParentTriangulation(verts, tris)
+    spec = SplineSpec(3, 1)
+    pts = _eval_points(tr, np.random.default_rng(3))[:50]
     with pytest.raises(PointOutsideDomain) as new_exc:
-        evaluation_matrix(tr, spec, pts[:50])
+        ModelSpace(tr, spec).data_basis(pts)
     with pytest.raises(PointOutsideDomain) as old_exc:
-        _parent_evaluation_matrix(tr, parent, spec, pts[:50])
+        _parent_evaluation_matrix(tr, parent, spec, pts)
+    assert new_exc.value.indices == old_exc.value.indices
     assert str(new_exc.value) == str(old_exc.value)
 
 
 def test_evaluation_matrix_all_outside():
     tr = Triangulation([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-    ev = evaluation_matrix(tr, SplineSpec(2, 0), [[5.0, 5.0], [-1.0, 0.0]], allow_outside=True)
-    assert ev.matrix.shape == (2, 6) and ev.matrix.nnz == 0
-    assert ev.triangle_index.tolist() == [-1, -1]
+    matrix, triangle_index = evaluation_matrix(tr, SplineSpec(2, 0), [[5.0, 5.0], [-1.0, 0.0]])
+    assert matrix.shape == (2, 6) and matrix.nnz == 0
+    assert triangle_index.tolist() == [-1, -1]
 
 
 BAD_MESHES = {

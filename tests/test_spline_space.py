@@ -3,12 +3,12 @@ import pytest
 from scipy import sparse
 
 from tridensity import bernstein
-from tridensity.bernstein import SplineSpec, interpolate_function
+from tridensity.bernstein import SplineSpec
 from tridensity.geometry import Triangulation, barycentric
 from tridensity.quadrature import conical_rule, integrate_domain
 from tridensity.spline_space import nullspace, penalty_matrix, smoothness_matrix
 
-from conftest import grid_mesh
+from conftest import grid_mesh, interpolate
 
 
 def piece_value(tr, spec, gamma, t, pts, orders=(0, 0)):
@@ -102,7 +102,7 @@ def test_smoothness_all_orderings_irregular_pair(rng):
         for pb in itertools.permutations([1, 2, 3]):
             tr = Triangulation(base, [list(pa), list(pb)])
             h = smoothness_matrix(tr, spec)
-            gamma = interpolate_function(tr, spec, poly)
+            gamma = interpolate(tr, spec, poly)
             assert np.abs(h @ gamma).max() <= 1e-10 * max(1.0, np.abs(gamma).max())
 
 
@@ -181,16 +181,16 @@ def test_nullspace_copies_its_input_and_matches_plain_svd(unit32):
 def test_penalty_linear_null(square2, rng):
     spec = SplineSpec(3, 1)
     k = penalty_matrix(square2, spec)
-    gamma = interpolate_function(square2, spec, lambda p: 3 + 2 * p[:, 0] - p[:, 1])
+    gamma = interpolate(square2, spec, lambda p: 3 + 2 * p[:, 0] - p[:, 1])
     assert float(gamma @ (k @ gamma)) <= 1e-12 * (gamma @ gamma)
 
 
 def test_penalty_quadratic_closed_form(unit32):
     spec = SplineSpec(3, 1)
     k = penalty_matrix(unit32, spec)
-    gamma = interpolate_function(unit32, spec, lambda p: p[:, 0] ** 2)
+    gamma = interpolate(unit32, spec, lambda p: p[:, 0] ** 2)
     assert float(gamma @ (k @ gamma)) == pytest.approx(4.0 * unit32.area, rel=1e-12)
-    mixed = interpolate_function(unit32, spec, lambda p: p[:, 0] * p[:, 1])
+    mixed = interpolate(unit32, spec, lambda p: p[:, 0] * p[:, 1])
     # g_xy = 1 contributes through the doubled cross term
     assert float(mixed @ (k @ mixed)) == pytest.approx(2.0 * unit32.area, rel=1e-12)
 
