@@ -176,6 +176,8 @@ def _load_data(args, tr):
             + ("" if n_dropped <= 10 else f" (+{n_dropped - 10} more)")
             + "; use --drop-outside to ignore them"
         )
+    if n_dropped == len(pts):
+        raise ValidationError("no data points remain inside the domain")
     return pts[inside], n_dropped
 
 
@@ -254,8 +256,6 @@ def cmd_fit(args):
     tr = _load_mesh(args)
     spec = SplineSpec(args.m, args.r)
     pts, n_dropped = _load_data(args, tr)
-    if len(pts) == 0:
-        raise ValidationError("no data points remain inside the domain")
 
     if args.lam is None and args.lambda_grid is None:
         raise ValidationError("one of --lambda or --lambda-grid is required")
@@ -477,13 +477,10 @@ def cmd_simulate(args):
     stem = os.path.splitext(args.out)[0]
     lines = ["replication,method,mise,status"]
     for r in results:
-        failed = dict(r.failures)
-        values = iter(r.per_replication)
-        for rep in range(args.reps):
-            if rep in failed:
-                lines.append(f"{rep},{r.method},,failed")
-            else:
-                lines.append(f"{rep},{r.method},{float(next(values))!r},ok")
+        scores = iter(r.per_replication)  # one per estimate that is not an exception
+        for rep, est in enumerate(r.estimates):
+            cell = ",failed" if isinstance(est, Exception) else f"{next(scores)!r},ok"
+            lines.append(f"{rep},{r.method},{cell}")
     _write_atomic(stem + "_replications.csv", "\n".join(lines) + "\n")
 
     if args.emit_grids:
@@ -491,17 +488,13 @@ def cmd_simulate(args):
         tr = scenario.domain
         truth = lambda pts: (scenario.density(pts), tr.locate(pts) >= 0)
         _write_atomic(stem + "_true_density.csv", _grid_csv(tr, args.grid, truth))
-        estimators_ = simbench.replication_estimators(
-            scenario, args.n, args.seed, methods, spec=spec, folds=args.folds,
-        )
-        for method, est in estimators_.items():
+        for r in results:  # replication 0 of the run above
+            est = r.estimates[0]
             if isinstance(est, Exception):
                 continue
-            if hasattr(est, "density"):
-                fn = est.density
-            else:
-                fn = lambda pts, est=est: (est(pts), tr.locate(pts) >= 0)
-            _write_atomic(f"{stem}_{method}_density.csv", _grid_csv(tr, args.grid, fn))
+            fn = est.density if hasattr(est, "density") else (
+                lambda pts: (est(pts), tr.locate(pts) >= 0))
+            _write_atomic(f"{stem}_{r.method}_density.csv", _grid_csv(tr, args.grid, fn))
     return EXIT_OK
 
 

@@ -93,7 +93,7 @@ class ModelSpace:
         self.quad_basis = np.einsum("qd,ndp->nqp", local, blocks).reshape(
             tr.n_triangles * n_q, basis.shape[1]
         )
-        self.quad_points, self.quad_weights = domain_nodes(tr, self.rule)
+        self.quad_weights = domain_nodes(tr, self.rule)[1]
         # The seed's ridge system depends only on the space. It is factored
         # here, not on first use, so that concurrent fits only read it.
         a = self.quad_basis
@@ -290,20 +290,27 @@ def density_from_gamma(tr, spec, gamma, points):
     return values, inside
 
 
+def _points_array(points):
+    """points as an (n, 2) float array, n >= 1; one (2,) point is one row."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != 2:
+        raise ValueError(f"points must have shape (n, 2) with n >= 1, got {np.shape(points)}")
+    return pts
+
+
 def fit(tr, points, config=None, space=None):
     """Fit the penalized log-density to points scattered on the mesh.
 
     Locates the points once: the design matrix gives the workspace and
     its triangle index the seed (seed_theta), from which newton runs. A
     given space must match tr and config.spec (ModelSpace.check). Raises
+    ValueError naming the shape of points that are not (n, 2) with n >= 1,
     PointOutsideDomain naming the rows outside the mesh, and DidNotConverge
     (carrying the last iterate and objective trace) if newton stops before
     converging.
     """
     config = config or FitConfig()
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if len(pts) == 0:
-        raise ValueError("at least one data point is required")
+    pts = _points_array(points)
     if space is None:
         space = ModelSpace(tr, config.spec)
     else:

@@ -95,9 +95,10 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
     of every failed fit and flags a best weight on the edge of the grid. A
     grid cell where every fold failed reports +inf and is never selected;
     if the whole grid is +inf, AllFoldsFailed is raised, naming the first
-    cause. An empty grid, a negative or non-finite weight in it, or a space
-    that does not match tr and spec raises ValueError before any fit, and
-    points outside the mesh raise PointOutsideDomain naming their rows.
+    cause. An empty grid, a negative or non-finite weight in it, points not
+    of shape (n, 2), or a space that does not match tr and spec raises
+    ValueError before any fit, and points outside the mesh raise
+    PointOutsideDomain naming their rows.
     threads > 1 gives the same result but little speed-up: the fits spend
     most of their time in scipy BLAS and LAPACK wrappers that hold the GIL.
     """
@@ -107,7 +108,7 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
     for lam in lambda_grid:
         if not (np.isfinite(lam) and lam >= 0):
             raise ValueError(f"lambda grid values must be finite and nonnegative, got {lam!r}")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = estimator._points_array(points)
     n = len(pts)
     assign = fold_assignments(n, folds, seed)
     if space is None:

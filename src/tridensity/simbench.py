@@ -479,6 +479,7 @@ class MiseResult:
     sd_defined: bool
     n_failed: int
     failures: list = field(default_factory=list)  # (replication, message)
+    estimates: list = field(default_factory=list)  # per replication: fit or exception
 
 
 def run_benchmark(scenario, n, reps, methods=("bpst", "kde"), seed=0,
@@ -490,7 +491,8 @@ def run_benchmark(scenario, n, reps, methods=("bpst", "kde"), seed=0,
     function of (scenario, n, reps, seed) and independent of the thread
     count; threads > 1 gains little for bpst, whose fits spend most of
     their time in scipy BLAS and LAPACK wrappers that hold the GIL. Failed
-    replications are excluded from the aggregates and reported per method.
+    replications are excluded from the aggregates and reported per method;
+    each method's estimates keep every replication's fit or exception.
     Bad reps, n, folds, lambda_grid values or mise_resolution raise
     ValueError before any sampling or fitting.
     """
@@ -499,6 +501,8 @@ def run_benchmark(scenario, n, reps, methods=("bpst", "kde"), seed=0,
     if n < 1:
         raise ValueError("n must be at least 1")
     model_selection.fold_assignments(n, folds, seed)  # checks 2 <= folds <= n
+    if len(lambda_grid) == 0:
+        raise ValueError("lambda grid is empty")
     for lam in lambda_grid:
         estimator.FitConfig(lam=lam)
     _check_resolution(mise_resolution)
@@ -507,16 +511,11 @@ def run_benchmark(scenario, n, reps, methods=("bpst", "kde"), seed=0,
     space = estimator.ModelSpace(scenario.domain, spec) if "bpst" in methods else None
 
     def run_rep(r):
-        out = {}
-        for method, est in replication_estimators(
-            scenario, n, seed ^ r, methods, spec=spec, lambda_grid=lambda_grid,
-            folds=folds, space=space,
-        ).items():
-            if isinstance(est, Exception):
-                out[method] = est
-            else:
-                out[method] = mise(est, scenario, mise_resolution)
-        return out
+        fits = replication_estimators(scenario, n, seed ^ r, methods, spec=spec,
+                                      lambda_grid=lambda_grid, folds=folds, space=space)
+        scores = {method: mise(est, scenario, mise_resolution)
+                  for method, est in fits.items() if not isinstance(est, Exception)}
+        return fits, scores
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -526,18 +525,15 @@ def run_benchmark(scenario, n, reps, methods=("bpst", "kde"), seed=0,
 
     results = []
     for method in methods:
-        values, failures = [], []
-        for r, row in enumerate(rows):
-            cell = row[method]
-            if isinstance(cell, Exception):
-                failures.append((r, str(cell)))
-            else:
-                values.append(cell)
+        estimates = [fits[method] for fits, _ in rows]
+        values = [scores[method] for _, scores in rows if method in scores]
+        failures = [(r, str(e)) for r, e in enumerate(estimates) if isinstance(e, Exception)]
         mean = float(np.mean(values)) if values else float("nan")
         sd_defined = len(values) >= 2
         sd = float(np.std(values, ddof=1)) if sd_defined else 0.0
         results.append(MiseResult(
             method=method, per_replication=values, mean=mean, sd=sd,
             sd_defined=sd_defined, n_failed=len(failures), failures=failures,
+            estimates=estimates,
         ))
     return results

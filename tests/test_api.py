@@ -89,12 +89,15 @@ def test_removed_helpers_and_options_stay_gone():
                          (quadrature, "_orbit6")):
         assert not hasattr(module, name), name
     space = estimator.ModelSpace(mesh, estimator.FitConfig().spec)
-    for gone in ("constraints", "penalty"):
+    for gone in ("constraints", "penalty", "quad_points"):
         assert not hasattr(space, gone), gone
     assert [f.name for f in dataclasses.fields(estimator.FitConfig)] == ["spec", "lam"]
     assert [f.name for f in dataclasses.fields(simbench.SkewNormalComponent)] == [
         "xi", "omega", "alpha", "weight"]
     assert not hasattr(simbench.Scenario, "true_density")
+    assert [f.name for f in dataclasses.fields(simbench.MiseResult)] == [
+        "method", "per_replication", "mean", "sd", "sd_defined", "n_failed", "failures",
+        "estimates"]
     for fn, params in ((estimator.newton, ["work", "theta0"]),
                        (estimator.fit, ["tr", "points", "config", "space"]),
                        (estimator.hessian, ["theta", "work"]),

@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from tridensity import cli, estimator, simbench
+from tridensity import cli, estimator, model_selection, simbench
+from tridensity.bernstein import SplineSpec
+from tridensity.errors import SingularBandwidth
 
 from conftest import starve_newton
 
@@ -496,6 +498,20 @@ def test_cv_subcommand(tmp_path, data_csv):
     assert report["schema_version"] == cli.SCHEMA_VERSION
 
 
+def test_cv_no_point_inside_exit2(tmp_path, capsys):
+    data = tmp_path / "outside.csv"
+    write_points(data, [[5.0, 5.0], [-3.0, 0.5]])
+    code = cli.main([
+        "cv", "--bundled-mesh", "square_unit_32", "--data", str(data),
+        "--drop-outside", "--out", str(tmp_path / "cv.json"),
+    ])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["message"]) == (
+        "ValidationError", "no data points remain inside the domain")
+    assert not (tmp_path / "cv.json").exists()
+
+
 def test_simulate_subcommand(tmp_path):
     out = tmp_path / "sim.json"
     code = cli.main([
@@ -526,6 +542,65 @@ def test_simulate_emit_grids(tmp_path):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == "x,y,density,in_domain"
         assert len(lines) == 1 + 50 * 50
+
+
+def test_simulate_emit_grids_fits_replication_0_once(tmp_path, monkeypatch):
+    calls = {"space": 0, "select_lambda": 0, "select_kde_bandwidth": 0}
+
+    def counted(owner, name, key):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(estimator.ModelSpace, "__init__", "space")
+    counted(model_selection, "select_lambda", "select_lambda")
+    counted(simbench, "select_kde_bandwidth", "select_kde_bandwidth")
+    assert cli.main([
+        "simulate", "--scenario", "sim1", "--n", "60", "--reps", "2", "--seed", "4",
+        "--grid", "50", "--folds", "5", "--emit-grids", "--out", str(tmp_path / "sim.json"),
+    ]) == 0
+    assert calls == {"space": 1, "select_lambda": 2, "select_kde_bandwidth": 2}
+    monkeypatch.undo()
+    # the grids equal those of replication 0 fitted on its own, as a fresh
+    # replication_estimators call fits it
+    scen = simbench.get_scenario("sim1")
+    tr = scen.domain
+    fresh = simbench.replication_estimators(scen, 60, 4, ("bpst", "kde"),
+                                            spec=SplineSpec(3, 1), folds=5)
+    expected = {
+        "bpst": cli._grid_csv(tr, 50, fresh["bpst"].density),
+        "kde": cli._grid_csv(tr, 50, lambda pts: (fresh["kde"](pts), tr.locate(pts) >= 0)),
+    }
+    for method, text in expected.items():
+        assert (tmp_path / f"sim_{method}_density.csv").read_text() == text
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_simulate_marks_a_failed_replication(tmp_path, monkeypatch, failing):
+    real = simbench.select_kde_bandwidth
+
+    def select(points, domain, folds=10, seed=0):
+        if seed == 4 ^ failing:
+            raise SingularBandwidth("forced")
+        return real(points, domain, folds=folds, seed=seed)
+
+    monkeypatch.setattr(simbench, "select_kde_bandwidth", select)
+    assert cli.main([
+        "simulate", "--scenario", "sim2", "--n", "60", "--reps", "2", "--seed", "4",
+        "--methods", "kde", "--grid", "50", "--folds", "5", "--emit-grids",
+        "--out", str(tmp_path / "sim.json"),
+    ]) == 0
+    rows = (tmp_path / "sim_replications.csv").read_text().splitlines()[1:]
+    assert rows[failing] == f"{failing},kde,,failed"
+    assert rows[1 - failing].endswith(",ok")
+    report = json.loads((tmp_path / "sim.json").read_text())
+    assert report["results"][0]["failures"] == [{"replication": failing, "message": "forced"}]
+    # the kde grid is that of replication 0, so it is missing when that failed
+    assert (tmp_path / "sim_kde_density.csv").exists() == (failing == 1)
 
 
 def test_simulate_bad_method(tmp_path, capsys):

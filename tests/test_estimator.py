@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from tridensity.estimator import (
     objective,
 )
 from tridensity.geometry import Triangulation
+from tridensity.quadrature import domain_nodes, rule_9
 
 from conftest import grid_mesh, random_interior_bary, starve_newton
 
@@ -164,7 +167,8 @@ def test_init_theta_matches_dense_oracle(square2, rng):
     theta = init_theta(space, values)
     # direct dense ridge solve on the same design
     a = space.quad_basis
-    y = np.log(np.maximum(values[square2.locate(space.quad_points)], 1e-8 / square2.area))
+    nodes = domain_nodes(square2, rule_9())[0]
+    y = np.log(np.maximum(values[square2.locate(nodes)], 1e-8 / square2.area))
     lhs = a.T @ a + 1e-4 * space.reduced_penalty
     oracle = np.linalg.solve(lhs, a.T @ y)
     assert np.abs(space.quad_basis @ (theta - oracle)).max() <= 1e-8
@@ -341,8 +345,16 @@ def test_fit_config_rejects_bad_lambda(lam):
 
 
 def test_fit_requires_points(unit32_space):
-    with pytest.raises(ValueError):
-        fit(unit32_space.tr, np.empty((0, 2)), FitConfig(), space=unit32_space)
+    for points, shape in (([], "(0,)"), (np.empty((0, 2)), "(0, 2)"),
+                          (np.full((5, 3), 0.5), "(5, 3)")):
+        with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+            fit(unit32_space.tr, points, FitConfig(), space=unit32_space)
+
+
+def test_fit_takes_one_point_as_one_row(unit32_space):
+    one = fit(unit32_space.tr, [0.3, 0.6], FitConfig(lam=1e-1), space=unit32_space)
+    row = fit(unit32_space.tr, [[0.3, 0.6]], FitConfig(lam=1e-1), space=unit32_space)
+    assert np.array_equal(one.theta, row.theta)
 
 
 def test_fit_rejects_space_of_other_mesh_or_spec(unit32_space, square2):
@@ -403,7 +415,7 @@ def test_eval_density_flags_and_normalization(unit32_space):
     assert vals[1] == 0.0
     assert np.all(vals >= 0.0)
     # renormalized density integrates to one under the fitting quadrature
-    dens, _ = f.density(f.space.quad_points)
+    dens, _ = f.density(domain_nodes(f.tr, rule_9())[0])
     total = float(f.space.quad_weights @ dens)
     assert total == pytest.approx(1.0, abs=1e-10)
 

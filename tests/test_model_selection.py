@@ -68,6 +68,16 @@ def test_select_lambda_rejects_bad_grid_before_fitting(unit32, rng, monkeypatch,
         select_lambda(unit32, rng.random((40, 2)), SplineSpec(3, 1), [1e-3, bad], folds=4)
 
 
+def test_select_lambda_names_a_malformed_points_shape(unit32):
+    for points, shape in (([], "(0,)"), (np.empty((0, 2)), "(0, 2)"),
+                          (np.full((5, 3), 0.5), "(5, 3)")):
+        with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+            select_lambda(unit32, points, SplineSpec(3, 1), [1e-3], folds=2)
+    # one (2,) point is one row, which two folds cannot split
+    with pytest.raises(ValueError, match="cannot split 1 points into 2 folds"):
+        select_lambda(unit32, [0.5, 0.5], SplineSpec(3, 1), [1e-3], folds=2)
+
+
 def test_select_lambda_rejects_space_of_other_mesh_or_spec(unit32, square2, rng):
     from tridensity.assets import mesh_paths
     from tridensity.geometry import load_mesh

@@ -323,6 +323,33 @@ def test_kde_benchmark_reproducible_across_threads():
     assert a[0].per_replication == b[0].per_replication
 
 
+def test_run_benchmark_keeps_each_replications_fit(monkeypatch):
+    from tridensity import simbench
+    from tridensity.estimator import DensityFit
+
+    forced = SingularBandwidth("forced for replication 1")
+    real = simbench.select_kde_bandwidth
+
+    def select(points, domain, folds=10, seed=0):
+        if seed == 7 ^ 1:
+            raise forced
+        return real(points, domain, folds=folds, seed=seed)
+
+    monkeypatch.setattr(simbench, "select_kde_bandwidth", select)
+    scen = scenario_sim1()
+    bpst, kde = run_benchmark(scen, 60, 3, seed=7, folds=5, mise_resolution=60)
+    assert len(bpst.estimates) == len(kde.estimates) == 3
+    assert all(isinstance(est, DensityFit) for est in bpst.estimates)
+    assert [type(est) for est in kde.estimates] == [KernelDensity, SingularBandwidth,
+                                                     KernelDensity]
+    assert kde.estimates[1] is forced
+    assert kde.failures == [(1, "forced for replication 1")]
+    # the scores are those of the kept fits
+    for r in (bpst, kde):
+        fits = [est for est in r.estimates if not isinstance(est, Exception)]
+        assert r.per_replication == [mise(est, scen, 60) for est in fits]
+
+
 def test_replication_estimators_types():
     scen = scenario_sim1()
     est = replication_estimators(scen, 60, 12, folds=5)
@@ -349,7 +376,8 @@ def test_replication_estimators_rejects_space_of_other_mesh_or_spec(square2, mon
 
 @pytest.mark.parametrize("kwargs", [{"n": 0}, {"folds": 1}, {"folds": 61},
                                     {"mise_resolution": 49},
-                                    {"lambda_grid": [1e-3, float("nan")]}])
+                                    {"lambda_grid": [1e-3, float("nan")]},
+                                    {"lambda_grid": []}])
 def test_run_benchmark_rejects_bad_input_before_fitting(kwargs, monkeypatch):
     from tridensity import estimator, simbench
 
