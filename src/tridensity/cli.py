@@ -4,8 +4,11 @@ Subcommands: fit, density, cv, simulate, mesh-info. Structured reports are
 JSON with a schema_version field, point and grid data are CSV. Outputs are
 written atomically (temp file plus rename) and are byte-identical for
 identical inputs and seed, at any --threads and a fixed BLAS thread count.
---threads gains little for spline fits: the scipy BLAS and LAPACK wrappers
-they spend most of their time in hold the GIL.
+The folds of a spline CV (fit --lambda-grid, cv, simulate) run in
+min(folds, --threads, usable CPUs) forked worker processes; --threads
+defaults to no cap, and taskset limits the usable CPUs. They run in one
+process unless BLAS is pinned to one thread (OPENBLAS_NUM_THREADS=1, or
+OMP_NUM_THREADS=1 with the former unset). --threads below 1 exits 2.
 
 Exit codes: 0 success, 2 input validation, 3 fit did not converge
 (artifacts are still written) or its density grid is not finite (the
@@ -87,7 +90,7 @@ def build_parser():
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--grid", type=int, default=0,
                        help="also write a density grid CSV at this resolution")
-    p_fit.add_argument("--threads", type=int, default=1)
+    p_fit.add_argument("--threads", type=int)
     p_fit.add_argument("--drop-outside", action="store_true",
                        help="drop points outside the domain instead of failing")
     p_fit.add_argument("--out", required=True, help="output directory")
@@ -108,7 +111,7 @@ def build_parser():
     p_cv.add_argument("--lambda-grid", dest="lambda_grid", default="default")
     p_cv.add_argument("--folds", type=int, default=10)
     p_cv.add_argument("--seed", type=int, default=0)
-    p_cv.add_argument("--threads", type=int, default=1)
+    p_cv.add_argument("--threads", type=int)
     p_cv.add_argument("--drop-outside", action="store_true")
     p_cv.add_argument("--out", required=True, help="output JSON path")
     p_cv.set_defaults(handler=cmd_cv)
@@ -125,7 +128,7 @@ def build_parser():
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--grid", type=int, default=100,
                        help="error-integration grid resolution per axis")
-    p_sim.add_argument("--threads", type=int, default=1)
+    p_sim.add_argument("--threads", type=int)
     p_sim.add_argument("--emit-grids", action="store_true",
                        help="also write true/estimated density grids of replication 0")
     p_sim.add_argument("--out", required=True, help="output JSON path")
@@ -259,11 +262,12 @@ def cmd_fit(args):
 
     if args.lam is None and args.lambda_grid is None:
         raise ValidationError("one of --lambda or --lambda-grid is required")
-    # every weight, and the folds of a CV, are checked before the space (an
-    # SVD) is built; with --lambda, config is the one weight's
+    # every weight, --threads and the folds of a CV are checked before the
+    # space (an SVD) is built; with --lambda, config is the one weight's
     grid = [args.lam] if args.lambda_grid is None else _parse_lambda_grid(args.lambda_grid)
     for lam in grid:
         config = estimator.FitConfig(spec=spec, lam=lam)
+    model_selection._check_threads(args.threads)
     if args.lambda_grid is not None:
         model_selection.fold_assignments(len(pts), args.folds, args.seed)
 

@@ -279,9 +279,10 @@ def log_integral_exp(tr, spec, gamma):
 def density_from_gamma(tr, spec, gamma, points):
     """Density exp(g - log_integral_exp(tr, spec, gamma)) at points from
     raw coefficients, and an inside-domain flag per point; points outside
-    the domain report density zero."""
+    the domain report density zero. points must have shape (n, 2), n >= 0,
+    else ValueError names their shape."""
+    pts = _points_array(points, min_rows=0)
     log_norm_const = log_integral_exp(tr, spec, gamma)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
     matrix, triangle_index = evaluation_matrix(tr, spec, pts)
     inside = triangle_index >= 0
     values = np.zeros(len(pts))
@@ -290,11 +291,13 @@ def density_from_gamma(tr, spec, gamma, points):
     return values, inside
 
 
-def _points_array(points):
-    """points as an (n, 2) float array, n >= 1; one (2,) point is one row."""
+def _points_array(points, min_rows=1):
+    """points as an (n, 2) float array, n >= min_rows; one (2,) point is
+    one row."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != 2:
-        raise ValueError(f"points must have shape (n, 2) with n >= 1, got {np.shape(points)}")
+    if pts.ndim != 2 or pts.shape[0] < min_rows or pts.shape[1] != 2:
+        raise ValueError(f"points must have shape (n, 2) with n >= {min_rows}, "
+                         f"got {np.shape(points)}")
     return pts
 
 

@@ -9,7 +9,10 @@ the truth. Fold errors are averaged; folds whose fit fails are excluded
 and flagged rather than poisoning the whole grid cell.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,8 +85,49 @@ def pick_best(lambda_grid, cv_errors):
     return best
 
 
+def _check_threads(threads):
+    """threads is None (no cap) or a positive int; anything else raises
+    ValueError."""
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads!r}")
+
+
+def _fold_workers(folds, threads):
+    """Worker processes for the folds: min(folds, threads, usable CPUs),
+    or 1 (in-process) unless fork is available, this process runs one
+    thread and is not a daemon (which may not start children), and BLAS
+    is pinned to one thread (OPENBLAS_NUM_THREADS, or OMP_NUM_THREADS if
+    that is unset, is 1). Forked workers with their own multi-threaded
+    BLAS pools oversubscribe the cores. Fork, safe with no other thread
+    alive, lets the workers inherit the space and the design matrix
+    instead of importing scipy and unpickling them."""
+    if not (hasattr(os, "sched_getaffinity")
+            and "fork" in multiprocessing.get_all_start_methods()):
+        return 1
+    if threading.active_count() != 1 or multiprocessing.current_process().daemon:
+        return 1
+    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    if blas is None or blas.strip() != "1":
+        return 1
+    return min(folds, threads or folds, len(os.sched_getaffinity(0)))
+
+
+# run_fold of the select_lambda call a forked worker belongs to; it is
+# inherited through fork, never pickled
+_worker_fold = None
+
+
+def _install_fold(run_fold):
+    global _worker_fold
+    _worker_fold = run_fold
+
+
+def _call_fold(k):
+    return _worker_fold(k)
+
+
 def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
-                  seed=0, space=None, threads=1):
+                  seed=0, space=None, threads=None):
     """Evaluate the cross-validation error over a grid of smoothing weights.
 
     The data design matrix is built once for all points, locating each
@@ -96,11 +140,19 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
     grid cell where every fold failed reports +inf and is never selected;
     if the whole grid is +inf, AllFoldsFailed is raised, naming the first
     cause. An empty grid, a negative or non-finite weight in it, points not
-    of shape (n, 2), or a space that does not match tr and spec raises
-    ValueError before any fit, and points outside the mesh raise
-    PointOutsideDomain naming their rows.
-    threads > 1 gives the same result but little speed-up: the fits spend
-    most of their time in scipy BLAS and LAPACK wrappers that hold the GIL.
+    of shape (n, 2), threads < 1, or a space that does not match tr and
+    spec raises ValueError before any fit, and points outside the mesh
+    raise PointOutsideDomain naming their rows.
+
+    The folds run in min(folds, threads, usable CPUs) forked worker
+    processes (threads=None sets no cap), each making the same calls as
+    the in-process loop, so the report is bit-identical at any threads and
+    a fixed BLAS thread count. The folds run in this process instead
+    unless fork is available, no other thread is alive, this process is
+    not a daemon, and BLAS is pinned to one thread: OPENBLAS_NUM_THREADS, or OMP_NUM_THREADS if that
+    is unset, must be 1. The pool is shut down and its workers joined
+    before this returns or raises; an exception other than TriDensityError
+    in a fold re-raises here, and a killed worker raises BrokenProcessPool.
     """
     lambda_grid = [float(l) for l in lambda_grid]
     if not lambda_grid:
@@ -109,6 +161,7 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
         if not (np.isfinite(lam) and lam >= 0):
             raise ValueError(f"lambda grid values must be finite and nonnegative, got {lam!r}")
     pts = estimator._points_array(points)
+    _check_threads(threads)
     n = len(pts)
     assign = fold_assignments(n, folds, seed)
     if space is None:
@@ -142,9 +195,14 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
             errors[gi] = held_out_score(space, f.theta, f.log_norm_const, bq_test)
         return errors, failures
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_fold = list(pool.map(run_fold, range(folds)))
+    workers = _fold_workers(folds, threads)
+    if workers > 1:
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_install_fold, initargs=(run_fold,))
+        try:
+            per_fold = list(pool.map(_call_fold, range(folds)))
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
         per_fold = [run_fold(k) for k in range(folds)]
     table = np.stack([errors for errors, _ in per_fold])  # (folds, n_lambda)

@@ -10,7 +10,6 @@ squared error against the truth.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -392,8 +391,10 @@ def select_kde_bandwidth(points, domain, folds=10, seed=0):
 
     Returns the first candidate with the smallest score and a dict with
     the "scores" and "candidates", both in bandwidth_candidates order.
+    points that are not (n, 2) with n >= 1 raise ValueError naming their
+    shape.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = estimator._points_array(points)
     n = len(pts)
     assign = model_selection.fold_assignments(n, folds, seed)
     quad_pts, quad_w = domain_nodes(domain, rule_9())
@@ -432,14 +433,17 @@ def select_kde_bandwidth(points, domain, folds=10, seed=0):
 
 def replication_estimators(scenario, n, rep_seed, methods=("bpst", "kde"),
                            spec=None, lambda_grid=model_selection.DEFAULT_LAMBDA_GRID,
-                           folds=10, space=None):
+                           folds=10, space=None, threads=None):
     """Sample one replication and fit every requested method on it.
 
     Returns a dict mapping method name to a fitted estimator (a DensityFit
     or a KernelDensity); a method that raised stores its exception instead.
     Everything derives deterministically from rep_seed. A given space must
-    match the scenario's domain and spec (ModelSpace.check).
+    match the scenario's domain and spec (ModelSpace.check). threads caps
+    the worker processes of the spline CV (select_lambda); threads < 1
+    raises ValueError before any fit.
     """
+    model_selection._check_threads(threads)
     spec = spec or SplineSpec(3, 1)
     if space is not None:
         space.check(scenario.domain, spec)
@@ -452,7 +456,7 @@ def replication_estimators(scenario, n, rep_seed, methods=("bpst", "kde"),
                     space = estimator.ModelSpace(scenario.domain, spec)
                 report = model_selection.select_lambda(
                     scenario.domain, data, spec, lambda_grid,
-                    folds=folds, seed=rep_seed, space=space,
+                    folds=folds, seed=rep_seed, space=space, threads=threads,
                 )
                 cfg = estimator.FitConfig(spec=spec, lam=report.best_lambda)
                 out[method] = estimator.fit(scenario.domain, data, cfg, space=space)
@@ -484,17 +488,18 @@ class MiseResult:
 
 def run_benchmark(scenario, n, reps, methods=("bpst", "kde"), seed=0,
                   spec=None, lambda_grid=model_selection.DEFAULT_LAMBDA_GRID,
-                  folds=10, mise_resolution=100, threads=1):
+                  folds=10, mise_resolution=100, threads=None):
     """Sample, fit and score each method over independent replications.
 
     Replication r derives its seed as seed XOR r, so results are a pure
-    function of (scenario, n, reps, seed) and independent of the thread
-    count; threads > 1 gains little for bpst, whose fits spend most of
-    their time in scipy BLAS and LAPACK wrappers that hold the GIL. Failed
-    replications are excluded from the aggregates and reported per method;
-    each method's estimates keep every replication's fit or exception.
-    Bad reps, n, folds, lambda_grid values or mise_resolution raise
-    ValueError before any sampling or fitting.
+    function of (scenario, n, reps, seed). Replications run in order;
+    threads caps the worker processes of each spline CV (select_lambda
+    gives the rule), so results are independent of it at a fixed BLAS
+    thread count. Failed replications are excluded from the aggregates and
+    reported per method; each method's estimates keep every replication's
+    fit or exception. Bad reps, n, folds, lambda_grid values,
+    mise_resolution or threads raise ValueError before any sampling or
+    fitting.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -506,22 +511,19 @@ def run_benchmark(scenario, n, reps, methods=("bpst", "kde"), seed=0,
     for lam in lambda_grid:
         estimator.FitConfig(lam=lam)
     _check_resolution(mise_resolution)
+    model_selection._check_threads(threads)
     scenario = get_scenario(scenario) if isinstance(scenario, str) else scenario
     spec = spec or SplineSpec(3, 1)
     space = estimator.ModelSpace(scenario.domain, spec) if "bpst" in methods else None
 
-    def run_rep(r):
+    rows = []
+    for r in range(reps):
         fits = replication_estimators(scenario, n, seed ^ r, methods, spec=spec,
-                                      lambda_grid=lambda_grid, folds=folds, space=space)
+                                      lambda_grid=lambda_grid, folds=folds, space=space,
+                                      threads=threads)
         scores = {method: mise(est, scenario, mise_resolution)
                   for method, est in fits.items() if not isinstance(est, Exception)}
-        return fits, scores
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_rep, range(reps)))
-    else:
-        rows = [run_rep(r) for r in range(reps)]
+        rows.append((fits, scores))
 
     results = []
     for method in methods:

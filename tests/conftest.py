@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -82,3 +84,22 @@ def horseshoe():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture
+def fold_pools(monkeypatch):
+    """Pins BLAS to one thread, offers four usable CPUs, and records the
+    worker count of every process pool select_lambda starts."""
+    from tridensity import model_selection
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    started = []
+
+    class Spy(model_selection.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(model_selection, "ProcessPoolExecutor", Spy)
+    return started

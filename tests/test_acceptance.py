@@ -267,24 +267,25 @@ def test_11_cli_determinism(tmp_path, rng):
             fh.write(f"{float(x)!r},{float(y)!r}\n")
 
     digests = {}
-    for threads in ("1", "8"):
+    for threads in ("default", "1", "8"):
+        flag = [] if threads == "default" else ["--threads", threads]
         for run in ("a", "b"):
             d = tmp_path / f"run{threads}{run}"
             d.mkdir()
             _run_cli([
                 "fit", "--bundled-mesh", "square_unit_32", "--data", str(data),
                 "--lambda-grid", "1e-4,1e-2", "--seed", "5", "--grid", "40",
-                "--threads", threads, "--out", str(d / "fit"),
+                *flag, "--out", str(d / "fit"),
             ], tmp_path)
             _run_cli([
                 "cv", "--bundled-mesh", "square_unit_32", "--data", str(data),
                 "--lambda-grid", "1e-4,1e-2", "--folds", "5", "--seed", "5",
-                "--threads", threads, "--out", str(d / "cv.json"),
+                *flag, "--out", str(d / "cv.json"),
             ], tmp_path)
             _run_cli([
                 "simulate", "--scenario", "sim1", "--n", "60", "--reps", "2",
                 "--seed", "5", "--grid", "60", "--folds", "5",
-                "--threads", threads, "--out", str(d / "sim.json"),
+                *flag, "--out", str(d / "sim.json"),
             ], tmp_path)
             for rel in (
                 "fit/fit_report.json", "fit/coefficients.csv",

@@ -253,7 +253,9 @@ def _no_model_space(monkeypatch):
 
 @pytest.mark.parametrize("flags", [["--lambda", "nan"], ["--lambda-grid", "1e-3,nan"],
                                    ["--lambda-grid", "default", "--folds", "1"],
-                                   ["--lambda-grid", "default", "--folds", "301"]])
+                                   ["--lambda-grid", "default", "--folds", "301"],
+                                   ["--lambda", "1e-3", "--threads", "0"],
+                                   ["--lambda-grid", "default", "--threads", "-3"]])
 def test_fit_rejects_bad_weight_or_folds_before_space(tmp_path, data_csv, capsys,
                                                      monkeypatch, flags):
     _no_model_space(monkeypatch)
@@ -262,8 +264,18 @@ def test_fit_rejects_bad_weight_or_folds_before_space(tmp_path, data_csv, capsys
     ], "ValueError")
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cv_rejects_threads_below_one_before_space(tmp_path, data_csv, capsys, monkeypatch,
+                                                   threads):
+    _no_model_space(monkeypatch)
+    _rejected(tmp_path, capsys, [
+        "cv", "--bundled-mesh", "square_unit_32", "--data", data_csv, "--threads", threads,
+    ], "ValueError")
+
+
 @pytest.mark.parametrize("flags", [["--n", "0"], ["--folds", "1"], ["--folds", "61"],
-                                   ["--grid", "10"]])
+                                   ["--grid", "10"], ["--threads", "0"],
+                                   ["--threads", "-3"]])
 def test_simulate_rejects_bad_input_before_space(tmp_path, capsys, monkeypatch, flags):
     def no_sample(*args, **kwargs):
         raise AssertionError("sampled")
@@ -665,4 +677,24 @@ def test_fit_outputs_byte_identical_across_processes(tmp_path, data_csv):
         assert proc.returncode == 0, proc.stderr
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert sorted(outs[0]) == ["coefficients.csv", "density_grid.csv", "fit_report.json"]
+    assert outs[0] == outs[1]
+
+
+def test_cv_forked_folds_write_the_serial_bytes(tmp_path, data_csv):
+    """With one BLAS thread the default --threads runs the folds in forked
+    workers (given two usable CPUs) and --threads 1 in one process; both
+    write the same cv.json."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outs = []
+    for threads in ([], ["--threads", "1"]):
+        out = tmp_path / f"cv{len(threads)}.json"
+        proc = subprocess.run([
+            sys.executable, "-m", "tridensity.cli", "cv", "--bundled-mesh", "square_unit_32",
+            "--data", data_csv, "--lambda-grid", "1e-5,1e-3,1e-1", "--folds", "5",
+            "--seed", "3", *threads, "--out", str(out),
+        ], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
     assert outs[0] == outs[1]

@@ -351,6 +351,17 @@ def test_fit_requires_points(unit32_space):
             fit(unit32_space.tr, points, FitConfig(), space=unit32_space)
 
 
+def test_density_names_a_malformed_points_shape(unit32_space):
+    tr, spec = unit32_space.tr, unit32_space.spec
+    gamma = unit32_space.gamma(np.zeros(unit32_space.n_free))
+    for points, shape in (([], "(0,)"), (np.full((5, 3), 0.5), "(5, 3)")):
+        with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+            estimator.density_from_gamma(tr, spec, gamma, points)
+    values, inside = estimator.density_from_gamma(tr, spec, gamma, np.empty((0, 2)))
+    assert values.shape == inside.shape == (0,)
+    assert inside.dtype == bool
+
+
 def test_fit_takes_one_point_as_one_row(unit32_space):
     one = fit(unit32_space.tr, [0.3, 0.6], FitConfig(lam=1e-1), space=unit32_space)
     row = fit(unit32_space.tr, [[0.3, 0.6]], FitConfig(lam=1e-1), space=unit32_space)
@@ -672,7 +683,8 @@ def test_newton_calls_the_traced_names(horseshoe_space, monkeypatch):
     assert counts["gradient"] >= f.iterations
     assert counts["objective"] >= len(f.objective_trace)
     counts.update(dict.fromkeys(counts, 0))
-    select_lambda(space.tr, pts, space.spec, [1e-3], folds=2, space=space)
+    # one thread keeps the fold fits in this process, where the counters are
+    select_lambda(space.tr, pts, space.spec, [1e-3], folds=2, space=space, threads=1)
     assert all(counts.values()), counts
 
 

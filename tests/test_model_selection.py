@@ -1,9 +1,15 @@
+import contextlib
+import multiprocessing
+import os
 import re
+import signal
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-from tridensity import estimator
+from tridensity import estimator, model_selection
 from tridensity.bernstein import SplineSpec
 from tridensity.errors import AllFoldsFailed
 from tridensity.estimator import EXP_CAP, ModelSpace, make_workspace, newton
@@ -232,21 +238,162 @@ def test_lambda_at_grid_edge():
     assert not bracketed.lambda_at_grid_edge
 
 
-def test_threads_do_not_change_results(unit32, rng):
+def _assert_same_report(a, b):
+    for name in ("lambda_grid", "cv_errors", "best_lambda", "seed", "folds",
+                 "failed_folds", "fold_failures", "lambda_at_grid_edge"):
+        assert getattr(a, name) == getattr(b, name), name
+    assert np.array_equal(a.fold_assignments, b.fold_assignments)
+    assert np.array_equal(a.fold_errors, b.fold_errors, equal_nan=True)
+
+
+def test_threads_do_not_change_results(unit32, rng, fold_pools):
     pts = rng.random((70, 2))
     spec = SplineSpec(3, 1)
     space = ModelSpace(unit32, spec)
     grid = [1e-4, 1e-2]
     r1 = select_lambda(unit32, pts, spec, grid, folds=4, seed=2, space=space, threads=1)
-    # the folds share the space, and with it the seed factor, across threads
-    for threads in (2, 8):
+    assert fold_pools == []
+    # the folds share the space, and with it the seed factor, across workers
+    for threads, workers in ((2, 2), (8, 4), (None, 4)):
         rk = select_lambda(unit32, pts, spec, grid, folds=4, seed=2, space=space,
                            threads=threads)
-        for name in ("lambda_grid", "cv_errors", "best_lambda", "seed", "folds",
-                     "failed_folds", "fold_failures", "lambda_at_grid_edge"):
-            assert getattr(rk, name) == getattr(r1, name), name
-        assert np.array_equal(rk.fold_assignments, r1.fold_assignments)
-        assert np.array_equal(rk.fold_errors, r1.fold_errors, equal_nan=True)
+        assert fold_pools.pop() == workers
+        _assert_same_report(rk, r1)
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("openblas, omp, workers", [
+    ("1", None, 3), (None, "1", 3), ("1", "4", 3), (None, None, 1), ("2", None, 1),
+    ("2", "1", 1), ("", "1", 1),
+])
+def test_fold_workers_need_blas_pinned_to_one_thread(monkeypatch, openblas, omp, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
+    assert model_selection._fold_workers(3, None) == workers
+    assert model_selection._fold_workers(3, 1) == 1
+
+
+def test_fold_workers_are_capped_by_folds_threads_and_cpus(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert [model_selection._fold_workers(folds, threads)
+            for folds, threads in ((10, None), (2, None), (10, 2), (10, 8), (2, 8))] == [
+        3, 2, 2, 3, 2]
+
+
+def test_fold_workers_stay_serial_with_another_thread_alive(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert model_selection._fold_workers(4, None) == 1
+    finally:
+        stop.set()
+        other.join()
+    assert model_selection._fold_workers(4, None) == 4
+
+
+def test_fold_workers_stay_serial_in_a_daemon_process(monkeypatch):
+    """A daemon, such as a multiprocessing.Pool worker, may not start
+    processes of its own."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    assert model_selection._fold_workers(4, None) == 1
+    monkeypatch.undo()
+    assert not multiprocessing.current_process().daemon
+
+
+def test_unpinned_blas_starts_no_pool(unit32, rng, fold_pools, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    pts = rng.random((40, 2))
+    report = select_lambda(unit32, pts, SplineSpec(3, 1), [1e-3], folds=4, seed=0,
+                           threads=None)
+    assert fold_pools == []
+    assert np.isfinite(report.cv_errors[0])
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging when the block outlasts seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_fold_exception_reraises_and_joins_workers(unit32, rng, fold_pools, monkeypatch):
+    pts = rng.random((60, 2))
+    spec = SplineSpec(3, 1)
+    space = ModelSpace(unit32, spec)
+    assign = fold_assignments(len(pts), 4, 0)
+    # newton of fold 2 only, recognised by its training mean
+    target = space.data_basis(pts)[0][assign != 2].mean(axis=0)
+    real = estimator.newton
+
+    def broken(work, theta0):
+        if np.array_equal(work.data_mean, target):
+            raise RuntimeError("fold 2 broke")
+        return real(work, theta0)
+
+    monkeypatch.setattr(estimator, "newton", broken)
+    with _deadline(120), pytest.raises(RuntimeError, match="fold 2 broke"):
+        select_lambda(unit32, pts, spec, [1e-3, 1e-1], folds=4, seed=0, space=space)
+    assert fold_pools == [4]
+    assert multiprocessing.active_children() == []
+
+
+def test_killed_worker_raises_broken_pool(unit32, rng, fold_pools, monkeypatch):
+    parent = os.getpid()
+    real = estimator.newton
+
+    def die_in_worker(work, theta0):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(work, theta0)
+
+    monkeypatch.setattr(estimator, "newton", die_in_worker)
+    with _deadline(120), pytest.raises(BrokenProcessPool):
+        select_lambda(unit32, rng.random((40, 2)), SplineSpec(3, 1), [1e-3], folds=4, seed=0)
+    assert fold_pools == [4]
+    assert multiprocessing.active_children() == []
+
+
+def test_forked_folds_keep_the_serial_failures(unit32, rng, fold_pools, monkeypatch):
+    pts = rng.random((40, 2))
+    spec = SplineSpec(3, 1)
+    space = ModelSpace(unit32, spec)
+    grid = [1e-6, 1e-3, 1.0, 1e3, 1e6]
+    starve_newton(monkeypatch, 3, estimator.GRAD_TOL, estimator.OBJ_TOL)
+    serial = select_lambda(unit32, pts, spec, grid, folds=4, seed=0, space=space, threads=1)
+    forked = select_lambda(unit32, pts, spec, grid, folds=4, seed=0, space=space)
+    assert fold_pools == [4]
+    assert 0 < len(serial.fold_failures) < len(grid) * 4
+    _assert_same_report(forked, serial)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_select_lambda_rejects_threads_below_one_before_any_fit(unit32, rng, monkeypatch,
+                                                                 threads):
+    def no_space(self, *args, **kwargs):
+        raise AssertionError("ModelSpace built")
+
+    monkeypatch.setattr(ModelSpace, "__init__", no_space)
+    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+        select_lambda(unit32, rng.random((40, 2)), SplineSpec(3, 1), [1e-3], folds=4,
+                      threads=threads)
 
 
 def test_default_grid_shape():

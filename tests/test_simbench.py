@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -288,6 +290,14 @@ def test_kde_call_is_blocked_row_mean():
     assert mise(kde, scen, 100) == full
 
 
+def test_select_kde_bandwidth_names_a_malformed_points_shape():
+    domain = scenario_sim1().domain
+    for points, shape in (([], "(0,)"), (np.empty((0, 2)), "(0, 2)"),
+                          (np.full((5, 3), 0.5), "(5, 3)")):
+        with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+            select_kde_bandwidth(points, domain, folds=2)
+
+
 def test_select_kde_bandwidth_deterministic():
     scen = scenario_sim1()
     pts = sample(scen, 150, seed=6)
@@ -308,11 +318,15 @@ def test_run_benchmark_single_replication():
         assert np.isfinite(r.mean)
 
 
-def test_run_benchmark_reproducible_across_threads():
+def test_run_benchmark_reproducible_across_threads(fold_pools):
     a = run_benchmark("sim1", 60, 3, seed=10, folds=5, mise_resolution=60, threads=1)
+    assert fold_pools == []
     b = run_benchmark("sim1", 60, 3, seed=10, folds=5, mise_resolution=60, threads=8)
+    assert fold_pools == [4, 4, 4]  # one pool per replication's spline CV
     for ra, rb in zip(a, b):
         assert ra.per_replication == rb.per_replication
+    for ea, eb in zip(a[0].estimates, b[0].estimates):
+        assert np.array_equal(ea.theta, eb.theta)
 
 
 def test_kde_benchmark_reproducible_across_threads():
@@ -357,6 +371,18 @@ def test_replication_estimators_types():
     assert callable(est["kde"])
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_replication_estimators_rejects_threads_below_one(monkeypatch, threads):
+    from tridensity import simbench
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(simbench, "sample", no_sample)
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        replication_estimators(scenario_sim1(), 60, 12, folds=5, threads=threads)
+
+
 def test_replication_estimators_rejects_space_of_other_mesh_or_spec(square2, monkeypatch):
     from tridensity import estimator, simbench
     from tridensity.bernstein import SplineSpec
@@ -377,7 +403,7 @@ def test_replication_estimators_rejects_space_of_other_mesh_or_spec(square2, mon
 @pytest.mark.parametrize("kwargs", [{"n": 0}, {"folds": 1}, {"folds": 61},
                                     {"mise_resolution": 49},
                                     {"lambda_grid": [1e-3, float("nan")]},
-                                    {"lambda_grid": []}])
+                                    {"lambda_grid": []}, {"threads": 0}])
 def test_run_benchmark_rejects_bad_input_before_fitting(kwargs, monkeypatch):
     from tridensity import estimator, simbench
 
