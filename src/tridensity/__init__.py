@@ -27,7 +27,7 @@ _EXPORTS = {
     ),
     "estimator": (
         "DensityFit", "FitConfig", "ModelSpace", "density_from_gamma", "fit", "gradient",
-        "hessian", "init_theta", "make_workspace", "objective",
+        "hessian", "init_theta", "objective",
     ),
     "geometry": ("MeshQuality", "Triangulation", "barycentric", "load_mesh", "mesh_quality"),
     "model_selection": ("DEFAULT_LAMBDA_GRID", "CvReport", "fold_assignments", "select_lambda"),

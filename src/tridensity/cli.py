@@ -1,14 +1,14 @@
 """Command line front end.
 
 Subcommands: fit, density, cv, simulate, mesh-info. Structured reports are
-JSON with a schema_version field, point and grid data are CSV. Outputs are
-written atomically (temp file plus rename) and are byte-identical for
-identical inputs and seed, at any --threads and a fixed BLAS thread count.
-The folds of a spline CV (fit --lambda-grid, cv, simulate) run in
-min(folds, --threads, usable CPUs) forked worker processes; --threads
-defaults to no cap, and taskset limits the usable CPUs. They run in one
-process unless BLAS is pinned to one thread (OPENBLAS_NUM_THREADS=1, or
-OMP_NUM_THREADS=1 with the former unset). --threads below 1 exits 2.
+JSON with a schema_version field and no NaN or Infinity (a value that is
+not finite is null), point and grid data are CSV. Outputs are written
+atomically (temp file plus rename) and are byte-identical for identical
+inputs and seed, on any set of usable CPUs and at a fixed BLAS thread
+count. The folds of a spline CV (fit --lambda-grid, cv, simulate) run in
+min(folds, usable CPUs) forked worker processes; taskset limits the
+usable CPUs. They run in one process unless BLAS is pinned to one thread
+(OPENBLAS_NUM_THREADS=1, or OMP_NUM_THREADS=1 with the former unset).
 
 Exit codes: 0 success, 2 input validation, 3 fit did not converge
 (artifacts are still written) or its density grid is not finite (the
@@ -90,7 +90,6 @@ def build_parser():
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--grid", type=int, default=0,
                        help="also write a density grid CSV at this resolution")
-    p_fit.add_argument("--threads", type=int)
     p_fit.add_argument("--drop-outside", action="store_true",
                        help="drop points outside the domain instead of failing")
     p_fit.add_argument("--out", required=True, help="output directory")
@@ -111,7 +110,6 @@ def build_parser():
     p_cv.add_argument("--lambda-grid", dest="lambda_grid", default="default")
     p_cv.add_argument("--folds", type=int, default=10)
     p_cv.add_argument("--seed", type=int, default=0)
-    p_cv.add_argument("--threads", type=int)
     p_cv.add_argument("--drop-outside", action="store_true")
     p_cv.add_argument("--out", required=True, help="output JSON path")
     p_cv.set_defaults(handler=cmd_cv)
@@ -128,7 +126,6 @@ def build_parser():
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--grid", type=int, default=100,
                        help="error-integration grid resolution per axis")
-    p_sim.add_argument("--threads", type=int)
     p_sim.add_argument("--emit-grids", action="store_true",
                        help="also write true/estimated density grids of replication 0")
     p_sim.add_argument("--out", required=True, help="output JSON path")
@@ -213,7 +210,13 @@ def _write_atomic(path, text):
 
 
 def _write_json(path, obj):
-    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _finite_or_null(value):
+    """value, or None (JSON null) when it is not finite: a CV grid cell
+    where every fold failed, or the mean MISE of no replication."""
+    return value if np.isfinite(value) else None
 
 
 def _grid_csv(tr, resolution, values_fn):
@@ -262,26 +265,24 @@ def cmd_fit(args):
 
     if args.lam is None and args.lambda_grid is None:
         raise ValidationError("one of --lambda or --lambda-grid is required")
-    # every weight, --threads and the folds of a CV are checked before the
-    # space (an SVD) is built; with --lambda, config is the one weight's
-    grid = [args.lam] if args.lambda_grid is None else _parse_lambda_grid(args.lambda_grid)
-    for lam in grid:
-        config = estimator.FitConfig(spec=spec, lam=lam)
-    model_selection._check_threads(args.threads)
-    if args.lambda_grid is not None:
+    # every weight and the folds of a CV are checked before the space (an
+    # SVD) is built
+    if args.lambda_grid is None:
+        config = estimator.FitConfig(spec=spec, lam=args.lam)
+    else:
+        grid = model_selection.check_lambda_grid(_parse_lambda_grid(args.lambda_grid))
         model_selection.fold_assignments(len(pts), args.folds, args.seed)
 
     space = estimator.ModelSpace(tr, spec)
     cv_block = None
     if args.lambda_grid is not None:
         report = model_selection.select_lambda(
-            tr, pts, spec, grid, folds=args.folds, seed=args.seed,
-            space=space, threads=args.threads,
+            tr, pts, spec, grid, folds=args.folds, seed=args.seed, space=space,
         )
         config = estimator.FitConfig(spec=spec, lam=report.best_lambda)
         cv_block = {
             "lambda_grid": report.lambda_grid,
-            "cv_errors": report.cv_errors,
+            "cv_errors": [_finite_or_null(e) for e in report.cv_errors],
             "best_lambda": report.best_lambda,
             "folds": report.folds,
             "seed": report.seed,
@@ -421,12 +422,12 @@ def cmd_cv(args):
     pts, n_dropped = _load_data(args, tr)
     report = model_selection.select_lambda(
         tr, pts, spec, _parse_lambda_grid(args.lambda_grid),
-        folds=args.folds, seed=args.seed, threads=args.threads,
+        folds=args.folds, seed=args.seed,
     )
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION,
         "lambda_grid": report.lambda_grid,
-        "cv_errors": report.cv_errors,
+        "cv_errors": [_finite_or_null(e) for e in report.cv_errors],
         "best_lambda": report.best_lambda,
         "folds": report.folds,
         "seed": report.seed,
@@ -454,7 +455,6 @@ def cmd_simulate(args):
     results = simbench.run_benchmark(
         args.scenario, args.n, args.reps, methods=methods, seed=args.seed,
         spec=spec, folds=args.folds, mise_resolution=args.grid,
-        threads=args.threads,
     )
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION,
@@ -467,7 +467,7 @@ def cmd_simulate(args):
         "results": [
             {
                 "method": r.method,
-                "mean_mise": r.mean,
+                "mean_mise": _finite_or_null(r.mean),
                 "sd_mise": r.sd,
                 "sd_defined": r.sd_defined,
                 "n_failed": r.n_failed,

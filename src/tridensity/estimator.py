@@ -152,11 +152,6 @@ class Workspace:
     lam: float
 
 
-def make_workspace(space, data_points, lam):
-    return Workspace(space=space, data_mean=space.data_basis(data_points)[0].mean(axis=0),
-                     lam=lam)
-
-
 def objective(theta, work):
     """Penalized negative log likelihood at reduced coefficients theta.
 

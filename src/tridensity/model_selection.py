@@ -85,16 +85,21 @@ def pick_best(lambda_grid, cv_errors):
     return best
 
 
-def _check_threads(threads):
-    """threads is None (no cap) or a positive int; anything else raises
-    ValueError."""
-    if threads is not None and threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads!r}")
+def check_lambda_grid(lambda_grid):
+    """lambda_grid as a list of floats; an empty grid or a negative or
+    non-finite weight in it raises ValueError."""
+    grid = [float(l) for l in lambda_grid]
+    if not grid:
+        raise ValueError("lambda grid is empty")
+    for lam in grid:
+        if not (np.isfinite(lam) and lam >= 0):
+            raise ValueError(f"lambda grid values must be finite and nonnegative, got {lam!r}")
+    return grid
 
 
-def _fold_workers(folds, threads):
-    """Worker processes for the folds: min(folds, threads, usable CPUs),
-    or 1 (in-process) unless fork is available, this process runs one
+def _fold_workers(folds):
+    """Worker processes for the folds: min(folds, usable CPUs), or 1
+    (in-process) unless fork is available, this process runs one
     thread and is not a daemon (which may not start children), and BLAS
     is pinned to one thread (OPENBLAS_NUM_THREADS, or OMP_NUM_THREADS if
     that is unset, is 1). Forked workers with their own multi-threaded
@@ -109,7 +114,7 @@ def _fold_workers(folds, threads):
     blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
     if blas is None or blas.strip() != "1":
         return 1
-    return min(folds, threads or folds, len(os.sched_getaffinity(0)))
+    return min(folds, len(os.sched_getaffinity(0)))
 
 
 # run_fold of the select_lambda call a forked worker belongs to; it is
@@ -127,7 +132,7 @@ def _call_fold(k):
 
 
 def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
-                  seed=0, space=None, threads=None):
+                  seed=0, space=None):
     """Evaluate the cross-validation error over a grid of smoothing weights.
 
     The data design matrix is built once for all points, locating each
@@ -140,28 +145,23 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
     grid cell where every fold failed reports +inf and is never selected;
     if the whole grid is +inf, AllFoldsFailed is raised, naming the first
     cause. An empty grid, a negative or non-finite weight in it, points not
-    of shape (n, 2), threads < 1, or a space that does not match tr and
-    spec raises ValueError before any fit, and points outside the mesh
-    raise PointOutsideDomain naming their rows.
+    of shape (n, 2), or a space that does not match tr and spec raises
+    ValueError before any fit, and points outside the mesh raise
+    PointOutsideDomain naming their rows.
 
-    The folds run in min(folds, threads, usable CPUs) forked worker
-    processes (threads=None sets no cap), each making the same calls as
-    the in-process loop, so the report is bit-identical at any threads and
-    a fixed BLAS thread count. The folds run in this process instead
-    unless fork is available, no other thread is alive, this process is
-    not a daemon, and BLAS is pinned to one thread: OPENBLAS_NUM_THREADS, or OMP_NUM_THREADS if that
+    The folds run in min(folds, usable CPUs) forked worker processes, so
+    the CPU set (os.sched_getaffinity, which taskset limits) is the one
+    cap. Each worker makes the same calls as the in-process loop, so the
+    report is bit-identical on any CPU set at a fixed BLAS thread count.
+    The folds run in this process instead unless fork is available, no
+    other thread is alive, this process is not a daemon, and BLAS is
+    pinned to one thread: OPENBLAS_NUM_THREADS, or OMP_NUM_THREADS if that
     is unset, must be 1. The pool is shut down and its workers joined
     before this returns or raises; an exception other than TriDensityError
     in a fold re-raises here, and a killed worker raises BrokenProcessPool.
     """
-    lambda_grid = [float(l) for l in lambda_grid]
-    if not lambda_grid:
-        raise ValueError("lambda grid is empty")
-    for lam in lambda_grid:
-        if not (np.isfinite(lam) and lam >= 0):
-            raise ValueError(f"lambda grid values must be finite and nonnegative, got {lam!r}")
+    lambda_grid = check_lambda_grid(lambda_grid)
     pts = estimator._points_array(points)
-    _check_threads(threads)
     n = len(pts)
     assign = fold_assignments(n, folds, seed)
     if space is None:
@@ -195,7 +195,7 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
             errors[gi] = held_out_score(space, f.theta, f.log_norm_const, bq_test)
         return errors, failures
 
-    workers = _fold_workers(folds, threads)
+    workers = _fold_workers(folds)
     if workers > 1:
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                    initializer=_install_fold, initargs=(run_fold,))

@@ -19,7 +19,7 @@ from scipy.special import ndtr
 from . import estimator, model_selection
 from .assets import load_bundled_mesh
 from .bernstein import SplineSpec
-from .errors import SingularBandwidth, TriDensityError
+from .errors import NonFiniteIntegrand, SingularBandwidth, TriDensityError
 from .geometry import cell_grid
 from .quadrature import domain_nodes, rule_9
 
@@ -433,17 +433,15 @@ def select_kde_bandwidth(points, domain, folds=10, seed=0):
 
 def replication_estimators(scenario, n, rep_seed, methods=("bpst", "kde"),
                            spec=None, lambda_grid=model_selection.DEFAULT_LAMBDA_GRID,
-                           folds=10, space=None, threads=None):
+                           folds=10, space=None):
     """Sample one replication and fit every requested method on it.
 
     Returns a dict mapping method name to a fitted estimator (a DensityFit
     or a KernelDensity); a method that raised stores its exception instead.
     Everything derives deterministically from rep_seed. A given space must
-    match the scenario's domain and spec (ModelSpace.check). threads caps
-    the worker processes of the spline CV (select_lambda); threads < 1
-    raises ValueError before any fit.
+    match the scenario's domain and spec (ModelSpace.check). The spline CV
+    runs its folds as select_lambda does.
     """
-    model_selection._check_threads(threads)
     spec = spec or SplineSpec(3, 1)
     if space is not None:
         space.check(scenario.domain, spec)
@@ -456,7 +454,7 @@ def replication_estimators(scenario, n, rep_seed, methods=("bpst", "kde"),
                     space = estimator.ModelSpace(scenario.domain, spec)
                 report = model_selection.select_lambda(
                     scenario.domain, data, spec, lambda_grid,
-                    folds=folds, seed=rep_seed, space=space, threads=threads,
+                    folds=folds, seed=rep_seed, space=space,
                 )
                 cfg = estimator.FitConfig(spec=spec, lam=report.best_lambda)
                 out[method] = estimator.fit(scenario.domain, data, cfg, space=space)
@@ -488,30 +486,27 @@ class MiseResult:
 
 def run_benchmark(scenario, n, reps, methods=("bpst", "kde"), seed=0,
                   spec=None, lambda_grid=model_selection.DEFAULT_LAMBDA_GRID,
-                  folds=10, mise_resolution=100, threads=None):
+                  folds=10, mise_resolution=100):
     """Sample, fit and score each method over independent replications.
 
     Replication r derives its seed as seed XOR r, so results are a pure
     function of (scenario, n, reps, seed). Replications run in order;
-    threads caps the worker processes of each spline CV (select_lambda
-    gives the rule), so results are independent of it at a fixed BLAS
-    thread count. Failed replications are excluded from the aggregates and
-    reported per method; each method's estimates keep every replication's
-    fit or exception. Bad reps, n, folds, lambda_grid values,
-    mise_resolution or threads raise ValueError before any sampling or
-    fitting.
+    each spline CV runs its folds as select_lambda does, so results do not
+    depend on the usable CPUs at a fixed BLAS thread count. A replication
+    whose fit raised or whose MISE is not finite (NonFiniteIntegrand)
+    failed: it is excluded from the aggregates and reported per method,
+    and the mean is NaN when every replication failed. Each method's
+    estimates keep every replication's fit or the exception that failed
+    it. Bad reps, n, folds, lambda_grid values or mise_resolution raise
+    ValueError before any sampling or fitting.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     if n < 1:
         raise ValueError("n must be at least 1")
     model_selection.fold_assignments(n, folds, seed)  # checks 2 <= folds <= n
-    if len(lambda_grid) == 0:
-        raise ValueError("lambda grid is empty")
-    for lam in lambda_grid:
-        estimator.FitConfig(lam=lam)
+    lambda_grid = model_selection.check_lambda_grid(lambda_grid)
     _check_resolution(mise_resolution)
-    model_selection._check_threads(threads)
     scenario = get_scenario(scenario) if isinstance(scenario, str) else scenario
     spec = spec or SplineSpec(3, 1)
     space = estimator.ModelSpace(scenario.domain, spec) if "bpst" in methods else None
@@ -519,10 +514,16 @@ def run_benchmark(scenario, n, reps, methods=("bpst", "kde"), seed=0,
     rows = []
     for r in range(reps):
         fits = replication_estimators(scenario, n, seed ^ r, methods, spec=spec,
-                                      lambda_grid=lambda_grid, folds=folds, space=space,
-                                      threads=threads)
-        scores = {method: mise(est, scenario, mise_resolution)
-                  for method, est in fits.items() if not isinstance(est, Exception)}
+                                      lambda_grid=lambda_grid, folds=folds, space=space)
+        scores = {}
+        for method, est in fits.items():
+            if isinstance(est, Exception):
+                continue
+            score = mise(est, scenario, mise_resolution)
+            if np.isfinite(score):
+                scores[method] = score
+            else:
+                fits[method] = NonFiniteIntegrand(f"MISE is {score!r}, not finite")
         rows.append((fits, scores))
 
     results = []

@@ -1,4 +1,5 @@
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,13 @@ def grid_mesh(xmin, xmax, ymin, ymax, nx, ny):
             tris.append((a, b, c))
             tris.append((a, c, d))
     return Triangulation(np.array(verts, float), np.array(tris))
+
+
+def make_workspace(space, points, lam):
+    """The objective's Workspace for points at weight lam."""
+    from tridensity.estimator import Workspace
+
+    return Workspace(space, space.data_basis(points)[0].mean(axis=0), lam)
 
 
 def starve_newton(monkeypatch, max_iters, grad_tol, tol):
@@ -86,6 +94,24 @@ def rng():
     return np.random.default_rng(20260809)
 
 
+def usable_cpus(monkeypatch, n):
+    """Make os.sched_getaffinity report n usable CPUs, which sets how many
+    fold workers select_lambda may start, for the rest of the test."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def cli_command(one_cpu):
+    """argv that runs the tridensity CLI in a fresh interpreter on every
+    usable CPU, or on the first of them alone (as taskset -c would), which
+    keeps a spline CV's folds in that one process."""
+    if not one_cpu:
+        return [sys.executable, "-m", "tridensity.cli"]
+    cpu = min(os.sched_getaffinity(0))
+    return [sys.executable, "-c",
+            f"import os, sys; os.sched_setaffinity(0, {{{cpu}}}); "
+            "from tridensity import cli; sys.exit(cli.main(sys.argv[1:]))"]
+
+
 @pytest.fixture
 def fold_pools(monkeypatch):
     """Pins BLAS to one thread, offers four usable CPUs, and records the
@@ -93,7 +119,7 @@ def fold_pools(monkeypatch):
     from tridensity import model_selection
 
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    usable_cpus(monkeypatch, 4)
     started = []
 
     class Spy(model_selection.ProcessPoolExecutor):

@@ -8,7 +8,6 @@ import json
 import math
 import os
 import subprocess
-import sys
 import time
 
 import numpy as np
@@ -17,7 +16,7 @@ import pytest
 from tridensity import estimator, model_selection
 from tridensity.assets import load_bundled_mesh
 from tridensity.bernstein import SplineSpec, evaluate
-from tridensity.estimator import FitConfig, ModelSpace, fit, gradient, hessian, make_workspace, objective
+from tridensity.estimator import FitConfig, ModelSpace, fit, gradient, hessian, objective
 from tridensity.geometry import Triangulation, barycentric
 from tridensity.quadrature import conical_rule, rule_9
 from tridensity.simbench import (
@@ -32,7 +31,8 @@ from tridensity.simbench import (
 )
 from tridensity.spline_space import nullspace, penalty_matrix, smoothness_matrix
 
-from conftest import interpolate, random_interior_bary, random_triangle
+from conftest import (cli_command, interpolate, make_workspace, random_interior_bary,
+                      random_triangle)
 from test_bernstein import _fd_derivative
 from test_spline_space import edge_points, interior_edges, piece_value
 
@@ -247,12 +247,15 @@ def test_10_cv_analytic_anchor(rng):
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def _run_cli(args, cwd):
-    # cwd moves the child away from the checkout, so it gets an absolute src
+def _run_cli(args, cwd, one_cpu=False):
+    # cwd moves the child away from the checkout, so it gets an absolute src.
+    # Bytes repeat only at a fixed BLAS thread count, and OpenBLAS sizes its
+    # default pool by the usable CPUs, so BLAS is pinned to one thread; the
+    # folds then run in forked workers on every CPU and in-process on one.
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "tridensity.cli", *args],
-        cwd=cwd, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        [*cli_command(one_cpu), *args], cwd=cwd, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
     )
     assert proc.returncode == 0, proc.stderr
     return proc
@@ -267,26 +270,25 @@ def test_11_cli_determinism(tmp_path, rng):
             fh.write(f"{float(x)!r},{float(y)!r}\n")
 
     digests = {}
-    for threads in ("default", "1", "8"):
-        flag = [] if threads == "default" else ["--threads", threads]
+    for one_cpu in (False, True):
         for run in ("a", "b"):
-            d = tmp_path / f"run{threads}{run}"
+            d = tmp_path / f"run{int(one_cpu)}{run}"
             d.mkdir()
             _run_cli([
                 "fit", "--bundled-mesh", "square_unit_32", "--data", str(data),
                 "--lambda-grid", "1e-4,1e-2", "--seed", "5", "--grid", "40",
-                *flag, "--out", str(d / "fit"),
-            ], tmp_path)
+                "--out", str(d / "fit"),
+            ], tmp_path, one_cpu)
             _run_cli([
                 "cv", "--bundled-mesh", "square_unit_32", "--data", str(data),
                 "--lambda-grid", "1e-4,1e-2", "--folds", "5", "--seed", "5",
-                *flag, "--out", str(d / "cv.json"),
-            ], tmp_path)
+                "--out", str(d / "cv.json"),
+            ], tmp_path, one_cpu)
             _run_cli([
                 "simulate", "--scenario", "sim1", "--n", "60", "--reps", "2",
                 "--seed", "5", "--grid", "60", "--folds", "5",
-                *flag, "--out", str(d / "sim.json"),
-            ], tmp_path)
+                "--out", str(d / "sim.json"),
+            ], tmp_path, one_cpu)
             for rel in (
                 "fit/fit_report.json", "fit/coefficients.csv",
                 "fit/density_grid.csv", "cv.json", "sim.json",
@@ -294,5 +296,5 @@ def test_11_cli_determinism(tmp_path, rng):
             ):
                 digests.setdefault(rel, set()).add((d / rel).read_bytes())
     for rel, blobs in digests.items():
-        assert len(blobs) == 1, f"{rel} differs across runs/threads"
-    _report(11, "byte-identical artifacts across reruns and thread counts")
+        assert len(blobs) == 1, f"{rel} differs across runs/CPU sets"
+    _report(11, "byte-identical artifacts across reruns and usable CPU sets")

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import importlib
 import inspect
@@ -8,8 +9,8 @@ import sys
 import types
 
 import tridensity
-from tridensity import (bernstein, errors, estimator, geometry, model_selection, quadrature,
-                        simbench, spline_space)
+from tridensity import (bernstein, cli, errors, estimator, geometry, model_selection,
+                        quadrature, simbench, spline_space)
 
 
 def test_exported_names_resolve_and_exclude_modules():
@@ -20,13 +21,13 @@ def test_exported_names_resolve_and_exclude_modules():
                  "roughness", "dump_coo", "ConstraintSystem", "build_constraints",
                  "initial_histogram", "initial_lss", "InitialDensity", "vertex_neighborhood",
                  "EnvelopeViolated", "integrate_triangle", "fold_error", "EvalMatrix",
-                 "interpolate_function", "domain_points", "rule_12"):
+                 "interpolate_function", "domain_points", "rule_12", "make_workspace"):
         assert gone not in tridensity.__all__
         assert not hasattr(tridensity, gone)
 
 
 def test_exported_names_are_their_modules_objects():
-    assert len(tridensity.__all__) == 53
+    assert len(tridensity.__all__) == 52
     for name in tridensity.__all__:
         module = importlib.import_module(f"tridensity.{tridensity._ORIGIN[name]}")
         assert getattr(tridensity, name) is getattr(module, name), name
@@ -86,7 +87,8 @@ def test_removed_helpers_and_options_stay_gone():
                          (estimator.ModelSpace, "integral_exp"), (bernstein, "EvalMatrix"),
                          (bernstein, "interpolate_function"), (bernstein, "domain_points"),
                          (bernstein, "_collocation_solver"), (quadrature, "rule_12"),
-                         (quadrature, "_orbit6")):
+                         (quadrature, "_orbit6"), (estimator, "make_workspace"),
+                         (model_selection, "_check_threads")):
         assert not hasattr(module, name), name
     space = estimator.ModelSpace(mesh, estimator.FitConfig().spec)
     for gone in ("constraints", "penalty", "quad_points"):
@@ -105,10 +107,29 @@ def test_removed_helpers_and_options_stay_gone():
                        (estimator.init_theta, ["space", "values"]),
                        (estimator.density_from_gamma, ["tr", "spec", "gamma", "points"]),
                        (model_selection.select_lambda,
-                        ["tr", "points", "spec", "lambda_grid", "folds", "seed", "space",
-                         "threads"]),
+                        ["tr", "points", "spec", "lambda_grid", "folds", "seed", "space"]),
+                       (simbench.replication_estimators,
+                        ["scenario", "n", "rep_seed", "methods", "spec", "lambda_grid", "folds",
+                         "space"]),
+                       (simbench.run_benchmark,
+                        ["scenario", "n", "reps", "methods", "seed", "spec", "lambda_grid",
+                         "folds", "mise_resolution"]),
                        (bernstein.evaluation_matrix, ["tr", "spec", "points"]),
                        (spline_space.nullspace, ["h"]),
                        (simbench.horseshoe_function, ["points"]),
                        (simbench.bandwidth_candidates, ["points"])):
         assert list(inspect.signature(fn).parameters) == params, fn.__name__
+    mesh_flags = ["--mesh-vertices", "--mesh-triangles", "--bundled-mesh"]
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+            for name, p in sub.choices.items()} == {
+        "fit": [*mesh_flags, "--data", "--m", "--r", "--lambda", "--lambda-grid", "--folds",
+                "--seed", "--grid", "--drop-outside", "--out"],
+        "density": [*mesh_flags, "--fit-dir", "--grid", "--out"],
+        "cv": [*mesh_flags, "--data", "--m", "--r", "--lambda-grid", "--folds", "--seed",
+               "--drop-outside", "--out"],
+        "simulate": ["--scenario", "--n", "--reps", "--methods", "--m", "--r", "--folds",
+                     "--seed", "--grid", "--emit-grids", "--out"],
+        "mesh-info": [*mesh_flags, "--out"],
+    }

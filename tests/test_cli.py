@@ -10,7 +10,7 @@ from tridensity import cli, estimator, model_selection, simbench
 from tridensity.bernstein import SplineSpec
 from tridensity.errors import SingularBandwidth
 
-from conftest import starve_newton
+from conftest import cli_command, starve_newton
 
 
 def write_points(path, pts):
@@ -253,9 +253,7 @@ def _no_model_space(monkeypatch):
 
 @pytest.mark.parametrize("flags", [["--lambda", "nan"], ["--lambda-grid", "1e-3,nan"],
                                    ["--lambda-grid", "default", "--folds", "1"],
-                                   ["--lambda-grid", "default", "--folds", "301"],
-                                   ["--lambda", "1e-3", "--threads", "0"],
-                                   ["--lambda-grid", "default", "--threads", "-3"]])
+                                   ["--lambda-grid", "default", "--folds", "301"]])
 def test_fit_rejects_bad_weight_or_folds_before_space(tmp_path, data_csv, capsys,
                                                      monkeypatch, flags):
     _no_model_space(monkeypatch)
@@ -264,18 +262,8 @@ def test_fit_rejects_bad_weight_or_folds_before_space(tmp_path, data_csv, capsys
     ], "ValueError")
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_cv_rejects_threads_below_one_before_space(tmp_path, data_csv, capsys, monkeypatch,
-                                                   threads):
-    _no_model_space(monkeypatch)
-    _rejected(tmp_path, capsys, [
-        "cv", "--bundled-mesh", "square_unit_32", "--data", data_csv, "--threads", threads,
-    ], "ValueError")
-
-
 @pytest.mark.parametrize("flags", [["--n", "0"], ["--folds", "1"], ["--folds", "61"],
-                                   ["--grid", "10"], ["--threads", "0"],
-                                   ["--threads", "-3"]])
+                                   ["--grid", "10"]])
 def test_simulate_rejects_bad_input_before_space(tmp_path, capsys, monkeypatch, flags):
     def no_sample(*args, **kwargs):
         raise AssertionError("sampled")
@@ -495,6 +483,28 @@ def test_density_missing_artifacts(tmp_path, capsys):
     assert code == 2
 
 
+def _strict_json(path):
+    """The JSON at path; a NaN, Infinity or -Infinity in it raises."""
+    def reject(constant):
+        raise ValueError(f"{path} holds {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_cv_writes_null_for_a_grid_cell_where_every_fold_failed(tmp_path, data_csv,
+                                                                monkeypatch):
+    # three iterations fail every fold at 1e-6 and leave the other weights finite
+    starve_newton(monkeypatch, 3, estimator.GRAD_TOL, estimator.OBJ_TOL)
+    flags = ["--bundled-mesh", "square_unit_32", "--data", data_csv,
+             "--lambda-grid", "1e-6,1e-3,1", "--folds", "5", "--seed", "0"]
+    assert cli.main(["cv", *flags, "--out", str(tmp_path / "cv.json")]) == 0
+    cv_errors = _strict_json(tmp_path / "cv.json")["cv_errors"]
+    assert cv_errors[0] is None
+    assert all(isinstance(e, float) for e in cv_errors[1:])
+    assert cli.main(["fit", *flags, "--out", str(tmp_path / "fit")]) == 0
+    assert _strict_json(tmp_path / "fit" / "fit_report.json")["cv"]["cv_errors"] == cv_errors
+
+
 def test_cv_subcommand(tmp_path, data_csv):
     out = tmp_path / "cv.json"
     code = cli.main([
@@ -615,6 +625,21 @@ def test_simulate_marks_a_failed_replication(tmp_path, monkeypatch, failing):
     assert (tmp_path / "sim_kde_density.csv").exists() == (failing == 1)
 
 
+def test_simulate_writes_null_mean_when_every_mise_is_not_finite(tmp_path, monkeypatch):
+    monkeypatch.setattr(simbench, "mise", lambda est, scenario, resolution: float("inf"))
+    assert cli.main([
+        "simulate", "--scenario", "sim2", "--n", "60", "--reps", "2", "--seed", "4",
+        "--methods", "kde", "--grid", "50", "--folds", "5", "--out", str(tmp_path / "sim.json"),
+    ]) == 0
+    (result,) = _strict_json(tmp_path / "sim.json")["results"]
+    assert result["mean_mise"] is None
+    assert result["per_replication"] == []
+    assert result["failures"] == [{"replication": r, "message": "MISE is inf, not finite"}
+                                  for r in (0, 1)]
+    rows = (tmp_path / "sim_replications.csv").read_text().splitlines()[1:]
+    assert rows == ["0,kde,,failed", "1,kde,,failed"]
+
+
 def test_simulate_bad_method(tmp_path, capsys):
     assert cli.main([
         "simulate", "--scenario", "sim1", "--n", "10", "--reps", "1",
@@ -681,19 +706,19 @@ def test_fit_outputs_byte_identical_across_processes(tmp_path, data_csv):
 
 
 def test_cv_forked_folds_write_the_serial_bytes(tmp_path, data_csv):
-    """With one BLAS thread the default --threads runs the folds in forked
-    workers (given two usable CPUs) and --threads 1 in one process; both
-    write the same cv.json."""
+    """With one BLAS thread the folds run in forked workers on every usable
+    CPU (given two) and in one process on one CPU; both write the same
+    cv.json."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     outs = []
-    for threads in ([], ["--threads", "1"]):
-        out = tmp_path / f"cv{len(threads)}.json"
+    for one_cpu in (False, True):
+        out = tmp_path / f"cv{int(one_cpu)}.json"
         proc = subprocess.run([
-            sys.executable, "-m", "tridensity.cli", "cv", "--bundled-mesh", "square_unit_32",
+            *cli_command(one_cpu), "cv", "--bundled-mesh", "square_unit_32",
             "--data", data_csv, "--lambda-grid", "1e-5,1e-3,1e-1", "--folds", "5",
-            "--seed", "3", *threads, "--out", str(out),
+            "--seed", "3", "--out", str(out),
         ], cwd=tmp_path, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())

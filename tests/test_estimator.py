@@ -13,13 +13,13 @@ from tridensity.estimator import (
     gradient,
     hessian,
     init_theta,
-    make_workspace,
     objective,
 )
 from tridensity.geometry import Triangulation
 from tridensity.quadrature import domain_nodes, rule_9
 
-from conftest import grid_mesh, random_interior_bary, starve_newton
+from conftest import (grid_mesh, make_workspace, random_interior_bary, starve_newton,
+                      usable_cpus)
 
 
 @pytest.fixture(scope="module")
@@ -683,8 +683,9 @@ def test_newton_calls_the_traced_names(horseshoe_space, monkeypatch):
     assert counts["gradient"] >= f.iterations
     assert counts["objective"] >= len(f.objective_trace)
     counts.update(dict.fromkeys(counts, 0))
-    # one thread keeps the fold fits in this process, where the counters are
-    select_lambda(space.tr, pts, space.spec, [1e-3], folds=2, space=space, threads=1)
+    # one usable CPU keeps the fold fits in this process, where the counters are
+    usable_cpus(monkeypatch, 1)
+    select_lambda(space.tr, pts, space.spec, [1e-3], folds=2, space=space)
     assert all(counts.values()), counts
 
 

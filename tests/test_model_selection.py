@@ -12,7 +12,7 @@ import pytest
 from tridensity import estimator, model_selection
 from tridensity.bernstein import SplineSpec
 from tridensity.errors import AllFoldsFailed
-from tridensity.estimator import EXP_CAP, ModelSpace, make_workspace, newton
+from tridensity.estimator import EXP_CAP, ModelSpace, newton
 from tridensity.model_selection import (
     DEFAULT_LAMBDA_GRID,
     fold_assignments,
@@ -21,7 +21,7 @@ from tridensity.model_selection import (
     select_lambda,
 )
 
-from conftest import starve_newton
+from conftest import make_workspace, starve_newton, usable_cpus
 
 
 def test_fold_assignments_partition():
@@ -246,17 +246,19 @@ def _assert_same_report(a, b):
     assert np.array_equal(a.fold_errors, b.fold_errors, equal_nan=True)
 
 
-def test_threads_do_not_change_results(unit32, rng, fold_pools):
+def test_threads_do_not_change_results(unit32, rng, fold_pools, monkeypatch):
+    """The worker count, set by the usable CPUs, does not change the report."""
     pts = rng.random((70, 2))
     spec = SplineSpec(3, 1)
     space = ModelSpace(unit32, spec)
     grid = [1e-4, 1e-2]
-    r1 = select_lambda(unit32, pts, spec, grid, folds=4, seed=2, space=space, threads=1)
+    usable_cpus(monkeypatch, 1)
+    r1 = select_lambda(unit32, pts, spec, grid, folds=4, seed=2, space=space)
     assert fold_pools == []
     # the folds share the space, and with it the seed factor, across workers
-    for threads, workers in ((2, 2), (8, 4), (None, 4)):
-        rk = select_lambda(unit32, pts, spec, grid, folds=4, seed=2, space=space,
-                           threads=threads)
+    for cpus, workers in ((2, 2), (8, 4), (4, 4)):
+        usable_cpus(monkeypatch, cpus)
+        rk = select_lambda(unit32, pts, spec, grid, folds=4, seed=2, space=space)
         assert fold_pools.pop() == workers
         _assert_same_report(rk, r1)
         assert multiprocessing.active_children() == []
@@ -267,45 +269,47 @@ def test_threads_do_not_change_results(unit32, rng, fold_pools):
     ("2", "1", 1), ("", "1", 1),
 ])
 def test_fold_workers_need_blas_pinned_to_one_thread(monkeypatch, openblas, omp, workers):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    usable_cpus(monkeypatch, 4)
     for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
         if value is None:
             monkeypatch.delenv(name, raising=False)
         else:
             monkeypatch.setenv(name, value)
-    assert model_selection._fold_workers(3, None) == workers
-    assert model_selection._fold_workers(3, 1) == 1
+    assert model_selection._fold_workers(3) == workers
+    usable_cpus(monkeypatch, 1)
+    assert model_selection._fold_workers(3) == 1
 
 
 def test_fold_workers_are_capped_by_folds_threads_and_cpus(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert [model_selection._fold_workers(folds, threads)
-            for folds, threads in ((10, None), (2, None), (10, 2), (10, 8), (2, 8))] == [
-        3, 2, 2, 3, 2]
+    workers = []
+    for folds, cpus in ((10, 3), (2, 3), (10, 2), (10, 8), (2, 8)):
+        usable_cpus(monkeypatch, cpus)
+        workers.append(model_selection._fold_workers(folds))
+    assert workers == [3, 2, 2, 8, 2]
 
 
 def test_fold_workers_stay_serial_with_another_thread_alive(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    usable_cpus(monkeypatch, 4)
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
     try:
-        assert model_selection._fold_workers(4, None) == 1
+        assert model_selection._fold_workers(4) == 1
     finally:
         stop.set()
         other.join()
-    assert model_selection._fold_workers(4, None) == 4
+    assert model_selection._fold_workers(4) == 4
 
 
 def test_fold_workers_stay_serial_in_a_daemon_process(monkeypatch):
     """A daemon, such as a multiprocessing.Pool worker, may not start
     processes of its own."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    usable_cpus(monkeypatch, 4)
     monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
-    assert model_selection._fold_workers(4, None) == 1
+    assert model_selection._fold_workers(4) == 1
     monkeypatch.undo()
     assert not multiprocessing.current_process().daemon
 
@@ -313,8 +317,7 @@ def test_fold_workers_stay_serial_in_a_daemon_process(monkeypatch):
 def test_unpinned_blas_starts_no_pool(unit32, rng, fold_pools, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     pts = rng.random((40, 2))
-    report = select_lambda(unit32, pts, SplineSpec(3, 1), [1e-3], folds=4, seed=0,
-                           threads=None)
+    report = select_lambda(unit32, pts, SplineSpec(3, 1), [1e-3], folds=4, seed=0)
     assert fold_pools == []
     assert np.isfinite(report.cv_errors[0])
 
@@ -377,23 +380,13 @@ def test_forked_folds_keep_the_serial_failures(unit32, rng, fold_pools, monkeypa
     space = ModelSpace(unit32, spec)
     grid = [1e-6, 1e-3, 1.0, 1e3, 1e6]
     starve_newton(monkeypatch, 3, estimator.GRAD_TOL, estimator.OBJ_TOL)
-    serial = select_lambda(unit32, pts, spec, grid, folds=4, seed=0, space=space, threads=1)
+    with monkeypatch.context() as one_cpu:
+        usable_cpus(one_cpu, 1)
+        serial = select_lambda(unit32, pts, spec, grid, folds=4, seed=0, space=space)
     forked = select_lambda(unit32, pts, spec, grid, folds=4, seed=0, space=space)
     assert fold_pools == [4]
     assert 0 < len(serial.fold_failures) < len(grid) * 4
     _assert_same_report(forked, serial)
-
-
-@pytest.mark.parametrize("threads", [0, -3])
-def test_select_lambda_rejects_threads_below_one_before_any_fit(unit32, rng, monkeypatch,
-                                                                 threads):
-    def no_space(self, *args, **kwargs):
-        raise AssertionError("ModelSpace built")
-
-    monkeypatch.setattr(ModelSpace, "__init__", no_space)
-    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
-        select_lambda(unit32, rng.random((40, 2)), SplineSpec(3, 1), [1e-3], folds=4,
-                      threads=threads)
 
 
 def test_default_grid_shape():

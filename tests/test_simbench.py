@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from tridensity import model_selection
-from tridensity.errors import SingularBandwidth
+from tridensity.errors import NonFiniteIntegrand, SingularBandwidth
 from tridensity.quadrature import domain_nodes, rule_9
 from tridensity.simbench import (
     KernelDensity,
@@ -27,6 +27,8 @@ from tridensity.simbench import (
     select_kde_bandwidth,
     skew_normal_pdf,
 )
+
+from conftest import usable_cpus
 
 
 def test_sim1_parameters():
@@ -318,10 +320,13 @@ def test_run_benchmark_single_replication():
         assert np.isfinite(r.mean)
 
 
-def test_run_benchmark_reproducible_across_threads(fold_pools):
-    a = run_benchmark("sim1", 60, 3, seed=10, folds=5, mise_resolution=60, threads=1)
+def test_run_benchmark_reproducible_across_threads(fold_pools, monkeypatch):
+    """One usable CPU and four give the same results."""
+    with monkeypatch.context() as one_cpu:
+        usable_cpus(one_cpu, 1)
+        a = run_benchmark("sim1", 60, 3, seed=10, folds=5, mise_resolution=60)
     assert fold_pools == []
-    b = run_benchmark("sim1", 60, 3, seed=10, folds=5, mise_resolution=60, threads=8)
+    b = run_benchmark("sim1", 60, 3, seed=10, folds=5, mise_resolution=60)
     assert fold_pools == [4, 4, 4]  # one pool per replication's spline CV
     for ra, rb in zip(a, b):
         assert ra.per_replication == rb.per_replication
@@ -329,12 +334,35 @@ def test_run_benchmark_reproducible_across_threads(fold_pools):
         assert np.array_equal(ea.theta, eb.theta)
 
 
-def test_kde_benchmark_reproducible_across_threads():
+def test_kde_benchmark_reproducible_across_threads(monkeypatch):
     kw = dict(methods=("kde",), seed=11, folds=5, mise_resolution=60)
-    a = run_benchmark("sim2", 400, 3, threads=1, **kw)
-    b = run_benchmark("sim2", 400, 3, threads=2, **kw)
+    with monkeypatch.context() as one_cpu:
+        usable_cpus(one_cpu, 1)
+        a = run_benchmark("sim2", 400, 3, **kw)
+    b = run_benchmark("sim2", 400, 3, **kw)
     assert a[0].n_failed == 0
     assert a[0].per_replication == b[0].per_replication
+
+
+def test_run_benchmark_fails_a_replication_whose_mise_is_not_finite(monkeypatch):
+    from tridensity import simbench
+
+    real = simbench.mise
+    calls = []
+
+    def mise_inf_for_replication_1(est, scenario, resolution):
+        calls.append(est)
+        return float("inf") if len(calls) == 2 else real(est, scenario, resolution)
+
+    monkeypatch.setattr(simbench, "mise", mise_inf_for_replication_1)
+    (kde,) = run_benchmark("sim2", 60, 3, methods=("kde",), seed=4, folds=5,
+                           mise_resolution=50)
+    assert kde.n_failed == 1
+    assert kde.failures == [(1, "MISE is inf, not finite")]
+    assert isinstance(kde.estimates[1], NonFiniteIntegrand)
+    assert kde.estimates[0] is calls[0] and kde.estimates[2] is calls[2]
+    assert len(kde.per_replication) == 2
+    assert np.isfinite(kde.mean) and np.isfinite(kde.sd)
 
 
 def test_run_benchmark_keeps_each_replications_fit(monkeypatch):
@@ -371,18 +399,6 @@ def test_replication_estimators_types():
     assert callable(est["kde"])
 
 
-@pytest.mark.parametrize("threads", [0, -3])
-def test_replication_estimators_rejects_threads_below_one(monkeypatch, threads):
-    from tridensity import simbench
-
-    def no_sample(*args, **kwargs):
-        raise AssertionError("sampled")
-
-    monkeypatch.setattr(simbench, "sample", no_sample)
-    with pytest.raises(ValueError, match="threads must be at least 1"):
-        replication_estimators(scenario_sim1(), 60, 12, folds=5, threads=threads)
-
-
 def test_replication_estimators_rejects_space_of_other_mesh_or_spec(square2, monkeypatch):
     from tridensity import estimator, simbench
     from tridensity.bernstein import SplineSpec
@@ -403,7 +419,7 @@ def test_replication_estimators_rejects_space_of_other_mesh_or_spec(square2, mon
 @pytest.mark.parametrize("kwargs", [{"n": 0}, {"folds": 1}, {"folds": 61},
                                     {"mise_resolution": 49},
                                     {"lambda_grid": [1e-3, float("nan")]},
-                                    {"lambda_grid": []}, {"threads": 0}])
+                                    {"lambda_grid": []}])
 def test_run_benchmark_rejects_bad_input_before_fitting(kwargs, monkeypatch):
     from tridensity import estimator, simbench
 
