@@ -120,7 +120,7 @@ def build_parser():
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--reps", type=int, required=True)
     p_sim.add_argument("--methods", default="bpst,kde",
-                       help="comma separated subset of bpst,kde")
+                       help="comma separated, distinct methods from bpst,kde")
     _spec_flags(p_sim)
     p_sim.add_argument("--folds", type=int, default=10)
     p_sim.add_argument("--seed", type=int, default=0)
@@ -447,10 +447,7 @@ def cmd_simulate(args):
     if args.scenario not in simbench.SCENARIOS:
         names = ", ".join(sorted(simbench.SCENARIOS))
         raise ValidationError(f"unknown scenario {args.scenario!r}; choose from {names}")
-    methods = tuple(tok for tok in args.methods.split(",") if tok)
-    for m in methods:
-        if m not in ("bpst", "kde"):
-            raise ValidationError(f"unknown method {m!r}")
+    methods = simbench.check_methods(tok for tok in args.methods.split(",") if tok)
     spec = SplineSpec(args.m, args.r)
     results = simbench.run_benchmark(
         args.scenario, args.n, args.reps, methods=methods, seed=args.seed,

@@ -282,7 +282,10 @@ def density_from_gamma(tr, spec, gamma, points):
     inside = triangle_index >= 0
     values = np.zeros(len(pts))
     g = matrix @ gamma
-    values[inside] = np.exp(g[inside] - log_norm_const)
+    # an overflow gives inf, which callers that need finite values reject
+    # with their own error (cli._grid_csv raises NonFiniteDensity)
+    with np.errstate(over="ignore"):
+        values[inside] = np.exp(g[inside] - log_norm_const)
     return values, inside
 
 

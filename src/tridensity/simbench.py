@@ -274,9 +274,10 @@ def _check_resolution(resolution):
         raise ValueError(f"grid resolution must be at least {MIN_MISE_RESOLUTION} per axis")
 
 
-# Entries per temporary (512 KB of float64) in the blocked kernel sums: a
-# few such blocks stay in a 2 MB L2 cache. Measured on a 2-core Xeon at
-# n=2000, the bandwidth CV took 0.55 s with 2**16 and 0.95 s with 2**19.
+# Entries per block of the blocked kernel sums (512 KB of float64 per
+# temporary), so that a block's temporaries stay near a 2 MB L2 cache.
+# Measured on a 2-core Xeon with one BLAS thread, the bandwidth CV at
+# n=2000 (sim3) took 0.17-0.20 s with 2**16 and 0.30-0.31 s with 2**19.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -333,7 +334,7 @@ def normal_reference_bandwidth(points):
     return len(pts) ** (-1.0 / 3.0) * cov
 
 
-_SCALES = (0.5, 1.0, 2.0)
+_SCALES = (0.5, 1.0, 2.0)  # each half the next, as _scale_factors requires
 _ANGLES = (-math.pi / 8, 0.0, math.pi / 8)
 
 
@@ -370,6 +371,23 @@ def bandwidth_candidates(points):
             for a in var0 for b in var1]
 
 
+def _scale_factors(rows, cols, widest):
+    """exp(-(r - c)^2 / 2v) for r in rows and c in cols, at
+    v = widest * s / _SCALES[-1] for each scale s of _SCALES: an array of
+    shape (len(_SCALES), len(rows), len(cols)) in _SCALES order. Each scale
+    is half the next, so only the widest factor takes an exponential; each
+    narrower one is the square of the next."""
+    out = np.empty((len(_SCALES), len(rows), len(cols)))
+    widest_factor = out[-1]
+    np.subtract.outer(rows, cols, out=widest_factor)
+    np.square(widest_factor, out=widest_factor)
+    widest_factor *= -0.5 / widest
+    np.exp(widest_factor, out=widest_factor)
+    for i in range(len(_SCALES) - 2, -1, -1):
+        np.square(out[i + 1], out=out[i])
+    return out
+
+
 def select_kde_bandwidth(points, domain, folds=10, seed=0):
     """Pick a bandwidth from bandwidth_candidates by k-fold cross-validation.
 
@@ -378,16 +396,23 @@ def select_kde_bandwidth(points, domain, folds=10, seed=0):
 
         integral f_k^2  -  (2 / |fold k|) sum_{x in fold k} f_k(x),
 
-    where f_k is the kernel density with bandwidth H on the points outside
-    fold k and the integral uses the 9-point rule on the domain mesh.
+    where f_k is the kernel density with bandwidth H on the n_k' points
+    outside fold k and the integral uses the 9-point rule on the domain
+    mesh. The candidates of one rotation are basis @ diag(a, b) @ basis.T,
+    so their kernel factors as exp(-u^2 / 2a) exp(-v^2 / 2b) times a
+    constant, with (u, v) the offset between two points in that basis; one
+    exponential per axis gives all three scales (_scale_factors), and a
+    matrix product of the two stacks gives the 9 scale pairs at once.
 
-    The candidates of one rotation are basis @ diag(a, b) @ basis.T, so
-    their kernel factors as exp(-u^2 / 2a) exp(-v^2 / 2b) times a constant,
-    with (u, v) the offset between two points in that basis. For each
-    rotation and each block of rows (the quadrature nodes stacked on the
-    data points) u^2 and v^2 are formed once, then 3 + 3 exponentials and
-    the 9 products; one matrix product with a one-hot fold matrix gives
-    every fold sum and the row total. No full kernel matrix is built.
+    The points are sorted by fold, so each fold is a contiguous column
+    range. For the integral, each block of quadrature nodes gives every
+    fold's kernel sum at each node; f_k is the total minus fold k's sum,
+    over n_k'. The second term is linear and symmetric in the kernel:
+    sum_{x in fold k} f_k(x) = sum over pairs (x in fold k, y in another
+    fold) of K(x, y), over n_k'. So each pair of points in different folds
+    is evaluated once, in tiles of at most _BLOCK_ENTRIES pairs, and adds
+    to the sums of both its folds; pairs within a fold are never formed.
+    No full kernel matrix is built.
 
     Returns the first candidate with the smallest score and a dict with
     the "scores" and "candidates", both in bandwidth_candidates order.
@@ -398,50 +423,73 @@ def select_kde_bandwidth(points, domain, folds=10, seed=0):
     n = len(pts)
     assign = model_selection.fold_assignments(n, folds, seed)
     quad_pts, quad_w = domain_nodes(domain, rule_9())
-    n_quad = len(quad_pts)
-    rows = np.concatenate([quad_pts, pts])
-    # columns 0..folds-1 select each fold's points; the last one selects all
-    onehot = np.zeros((n, folds + 1))
-    onehot[np.arange(n), assign] = 1.0
-    onehot[:, folds] = 1.0
     sizes = np.bincount(assign, minlength=folds)
     n_train = n - sizes
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    fold_cols = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    by_fold = pts[np.argsort(assign, kind="stable")]
     scores = []
     for basis, var0, var1 in _rotations(pts):
-        proj_rows = rows @ basis
-        proj_pts = pts @ basis
-        sums = np.empty((len(var0), len(var1), len(rows), folds + 1))
-        for block in _row_blocks(len(rows), n):
-            u2 = np.square(np.subtract.outer(proj_rows[block, 0], proj_pts[:, 0]))
-            v2 = np.square(np.subtract.outer(proj_rows[block, 1], proj_pts[:, 1]))
-            ev = [np.exp(v2 * (-0.5 / b)) for b in var1]
-            for i, a in enumerate(var0):
-                eu = np.exp(u2 * (-0.5 / a))
-                for j, e in enumerate(ev):
-                    np.matmul(eu * e, onehot, out=sums[i, j, block])
-        # unnormalized density of the training points of fold k at each row
-        held = (sums[..., folds, None] - sums[..., :folds]) / n_train
-        sq = np.einsum("r,ijrk->ijk", quad_w, held[:, :, :n_quad] ** 2)
-        at_test = held[:, :, n_quad + np.arange(n), assign]
-        mean_test = (at_test @ onehot[:, :folds]) / sizes
+        proj_quad = quad_pts @ basis
+        proj = by_fold @ basis
+        # sq[k, i, j]: quadrature of f_k^2, unnormalized, at scales (i, j)
+        sq = np.zeros((folds, len(var0), len(var1)))
+        for block in _row_blocks(len(proj_quad), n):
+            eu = _scale_factors(proj_quad[block, 0], proj[:, 0], var0[-1]).transpose(1, 0, 2)
+            ev = _scale_factors(proj_quad[block, 1], proj[:, 1], var1[-1]).transpose(1, 2, 0)
+            in_fold = np.stack([eu[..., c] @ ev[:, c] for c in fold_cols], axis=1)
+            held = (in_fold.sum(axis=1, keepdims=True) - in_fold) / n_train[:, None, None]
+            sq += np.einsum("r,rkij->kij", quad_w[block], held ** 2)
+        # cross[k, i, j]: kernel sum over pairs (fold k, any other fold)
+        cross = np.zeros_like(sq)
+        for k in range(folds):
+            rows_k = proj[fold_cols[k]]
+            for l in range(k + 1, folds):
+                cols_l = proj[fold_cols[l]]
+                for rows in _row_blocks(sizes[k], sizes[l]):
+                    eu = _scale_factors(rows_k[rows, 0], cols_l[:, 0], var0[-1])
+                    ev = _scale_factors(rows_k[rows, 1], cols_l[:, 1], var1[-1])
+                    pair = eu.reshape(len(var0), -1) @ ev.reshape(len(var1), -1).T
+                    cross[k] += pair
+                    cross[l] += pair
+        mean_test = cross / (n_train * sizes)[:, None, None]
         norm = 1.0 / (2.0 * math.pi * np.sqrt(np.outer(var0, var1)))
-        err = norm[..., None] ** 2 * sq - 2.0 * norm[..., None] * mean_test
-        scores.extend(err.mean(axis=-1).ravel().tolist())
+        err = norm ** 2 * sq - 2.0 * norm * mean_test
+        scores.extend(err.mean(axis=0).ravel().tolist())
     candidates = bandwidth_candidates(pts)
     return candidates[int(np.argmin(scores))], {"scores": scores, "candidates": candidates}
 
 
-def replication_estimators(scenario, n, rep_seed, methods=("bpst", "kde"),
+METHODS = ("bpst", "kde")
+
+
+def check_methods(methods):
+    """methods as a tuple; raises ValueError unless it names at least one
+    method, each of METHODS, none twice."""
+    methods = tuple(methods)
+    if not methods:
+        raise ValueError(f"methods is empty; choose from {METHODS}")
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"methods {methods} name a method twice")
+    return methods
+
+
+def replication_estimators(scenario, n, rep_seed, methods=METHODS,
                            spec=None, lambda_grid=model_selection.DEFAULT_LAMBDA_GRID,
                            folds=10, space=None):
     """Sample one replication and fit every requested method on it.
 
     Returns a dict mapping method name to a fitted estimator (a DensityFit
     or a KernelDensity); a method that raised stores its exception instead.
-    Everything derives deterministically from rep_seed. A given space must
-    match the scenario's domain and spec (ModelSpace.check). The spline CV
-    runs its folds as select_lambda does.
+    Everything derives deterministically from rep_seed. methods must pass
+    check_methods, and a given space must match the scenario's domain and
+    spec (ModelSpace.check); both are checked before sampling. The spline
+    CV runs its folds as select_lambda does.
     """
+    methods = check_methods(methods)
     spec = spec or SplineSpec(3, 1)
     if space is not None:
         space.check(scenario.domain, spec)
@@ -458,13 +506,11 @@ def replication_estimators(scenario, n, rep_seed, methods=("bpst", "kde"),
                 )
                 cfg = estimator.FitConfig(spec=spec, lam=report.best_lambda)
                 out[method] = estimator.fit(scenario.domain, data, cfg, space=space)
-            elif method == "kde":
+            else:
                 bw, _ = select_kde_bandwidth(
                     data, scenario.domain, folds=folds, seed=rep_seed
                 )
                 out[method] = KernelDensity(data, bw)
-            else:
-                raise ValueError(f"unknown method {method!r}")
         except TriDensityError as exc:
             out[method] = exc
     return out
@@ -484,7 +530,7 @@ class MiseResult:
     estimates: list = field(default_factory=list)  # per replication: fit or exception
 
 
-def run_benchmark(scenario, n, reps, methods=("bpst", "kde"), seed=0,
+def run_benchmark(scenario, n, reps, methods=METHODS, seed=0,
                   spec=None, lambda_grid=model_selection.DEFAULT_LAMBDA_GRID,
                   folds=10, mise_resolution=100):
     """Sample, fit and score each method over independent replications.
@@ -497,9 +543,10 @@ def run_benchmark(scenario, n, reps, methods=("bpst", "kde"), seed=0,
     failed: it is excluded from the aggregates and reported per method,
     and the mean is NaN when every replication failed. Each method's
     estimates keep every replication's fit or the exception that failed
-    it. Bad reps, n, folds, lambda_grid values or mise_resolution raise
-    ValueError before any sampling or fitting.
+    it. Bad reps, n, methods (check_methods), folds, lambda_grid values or
+    mise_resolution raise ValueError before any sampling or fitting.
     """
+    methods = check_methods(methods)
     if reps < 1:
         raise ValueError("reps must be at least 1")
     if n < 1:

@@ -199,6 +199,30 @@ def test_density_nonfinite_grid_exit3(tmp_path, capsys):
     assert not dens.exists()
 
 
+def test_density_overflow_writes_only_the_error_line(tmp_path, data_csv):
+    """Coefficients of 2000 on triangle 0 overflow exp; in a fresh
+    interpreter, stderr is the NonFiniteDensity line and no numpy warning."""
+    fitdir = tmp_path / "fit"
+    assert cli.main([
+        "fit", "--bundled-mesh", "square_unit_32", "--data", data_csv,
+        "--lambda", "1e-3", "--out", str(fitdir),
+    ]) == 0
+    coef = fitdir / "coefficients.csv"
+    header, *rows = coef.read_text().splitlines()
+    rows = [row.rsplit(",", 1)[0] + ",2000.0" if row.startswith("0,") else row
+            for row in rows]
+    coef.write_text("\n".join([header, *rows]) + "\n")
+    dens = tmp_path / "dens.csv"
+    proc = subprocess.run([
+        *cli_command(False), "density", "--bundled-mesh", "square_unit_32",
+        "--fit-dir", str(fitdir), "--grid", "60", "--out", str(dens),
+    ], cwd=tmp_path, env=_child_env(), capture_output=True, text=True)
+    assert proc.returncode == 3
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"] == "NonFiniteDensity"
+    assert not dens.exists()
+
+
 def _rejected(tmp_path, capsys, argv, kind):
     """argv exits 2 with an error of this kind and writes nothing."""
     out = tmp_path / "rejected"
@@ -263,7 +287,8 @@ def test_fit_rejects_bad_weight_or_folds_before_space(tmp_path, data_csv, capsys
 
 
 @pytest.mark.parametrize("flags", [["--n", "0"], ["--folds", "1"], ["--folds", "61"],
-                                   ["--grid", "10"]])
+                                   ["--grid", "10"], ["--methods", ""],
+                                   ["--methods", "kde,kde"], ["--methods", "magic"]])
 def test_simulate_rejects_bad_input_before_space(tmp_path, capsys, monkeypatch, flags):
     def no_sample(*args, **kwargs):
         raise AssertionError("sampled")
@@ -686,11 +711,17 @@ def test_outputs_byte_identical(tmp_path, data_csv):
     assert outs[0] == outs[1]
 
 
+def _child_env():
+    """Environment of a fresh CLI interpreter: this checkout's src first on
+    the path, one BLAS thread."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_fit_outputs_byte_identical_across_processes(tmp_path, data_csv):
     """Two fresh interpreters with one BLAS thread write the same bytes."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     outs = []
     for run in ("a", "b"):
         out = tmp_path / f"fit_{run}"
@@ -709,9 +740,7 @@ def test_cv_forked_folds_write_the_serial_bytes(tmp_path, data_csv):
     """With one BLAS thread the folds run in forked workers on every usable
     CPU (given two) and in one process on one CPU; both write the same
     cv.json."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     outs = []
     for one_cpu in (False, True):
         out = tmp_path / f"cv{int(one_cpu)}.json"

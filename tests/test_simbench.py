@@ -1,11 +1,14 @@
+import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from tridensity import model_selection
+from tridensity import model_selection, simbench
 from tridensity.errors import NonFiniteIntegrand, SingularBandwidth
+from tridensity.geometry import load_mesh
 from tridensity.quadrature import domain_nodes, rule_9
 from tridensity.simbench import (
     KernelDensity,
@@ -259,7 +262,9 @@ def per_candidate_kde_cv(points, domain, folds=10, seed=0):
     ("sim2", 120, 2, 2),
     ("sim3", 300, 5, 3),
     ("sim1", 10, 10, 4),    # n == folds
-    ("sim3", 700, 10, 5),   # many row blocks, partial last block
+    ("sim3", 700, 10, 5),   # many quadrature row blocks, partial last block
+    ("sim3", 700, 2, 6),    # each cross-fold tile split over row blocks
+    ("sim2", 457, 7, 7),    # folds of unequal size
 ])
 def test_select_kde_bandwidth_matches_per_candidate_oracle(name, n, folds, seed):
     scen = get_scenario(name)
@@ -271,10 +276,16 @@ def test_select_kde_bandwidth_matches_per_candidate_oracle(name, n, folds, seed)
     for a, b in zip(got["candidates"], want["candidates"]):
         assert np.array_equal(a, b)
     np.testing.assert_allclose(got["scores"], want["scores"], rtol=1e-12, atol=0)
-    if n == 700:
-        rows = len(domain_nodes(scen.domain, rule_9())[0]) + n
-        blocks = _row_blocks(rows, n)
-        assert len(blocks) > 1 and rows % blocks[0].stop != 0
+    # the cases cover the tilings they are named for
+    sizes = np.bincount(model_selection.fold_assignments(n, folds, seed))
+    n_quad = len(domain_nodes(scen.domain, rule_9())[0])
+    if (n, folds) == (700, 10):
+        blocks = _row_blocks(n_quad, n)
+        assert len(blocks) > 1 and n_quad % blocks[0].stop != 0
+    if (n, folds) == (700, 2):
+        assert len(_row_blocks(sizes[0], sizes[1])) > 1
+    if (n, folds) == (457, 7):
+        assert sizes.min() < sizes.max()
 
 
 def test_kde_call_is_blocked_row_mean():
@@ -334,19 +345,20 @@ def test_run_benchmark_reproducible_across_threads(fold_pools, monkeypatch):
         assert np.array_equal(ea.theta, eb.theta)
 
 
-def test_kde_benchmark_reproducible_across_threads(monkeypatch):
+def test_kde_benchmark_reproducible_across_threads(fold_pools, monkeypatch):
+    """The KDE-only study starts no process pool on four usable CPUs with
+    one BLAS thread, and matches the one-CPU run."""
     kw = dict(methods=("kde",), seed=11, folds=5, mise_resolution=60)
     with monkeypatch.context() as one_cpu:
         usable_cpus(one_cpu, 1)
         a = run_benchmark("sim2", 400, 3, **kw)
     b = run_benchmark("sim2", 400, 3, **kw)
+    assert fold_pools == []
     assert a[0].n_failed == 0
     assert a[0].per_replication == b[0].per_replication
 
 
 def test_run_benchmark_fails_a_replication_whose_mise_is_not_finite(monkeypatch):
-    from tridensity import simbench
-
     real = simbench.mise
     calls = []
 
@@ -365,8 +377,24 @@ def test_run_benchmark_fails_a_replication_whose_mise_is_not_finite(monkeypatch)
     assert np.isfinite(kde.mean) and np.isfinite(kde.sd)
 
 
+def test_run_benchmark_fails_the_replication_a_pinched_mesh_blows_up():
+    """The horseshoe_112 files with two coincident vertex pairs (kept as
+    they were bundled) leave the end cap joined to the arm at one vertex.
+    On sample(sim2, 200, 4) one point lies in the cap, outside the convex
+    hull of its quadrature nodes, so the fit runs off and the MISE is inf:
+    the replication fails with that cause."""
+    data = Path(__file__).parent / "data"
+    tr = load_mesh(str(data / "horseshoe_112_coincident_vertices.csv"),
+                   str(data / "horseshoe_112_coincident_triangles.csv"))
+    scen = dataclasses.replace(get_scenario("sim2"), domain=tr)
+    (bpst,) = run_benchmark(scen, 200, 1, seed=4, methods=("bpst",))
+    assert bpst.n_failed == 1
+    assert bpst.failures == [(0, "MISE is inf, not finite")]
+    assert isinstance(bpst.estimates[0], NonFiniteIntegrand)
+    assert bpst.per_replication == []
+
+
 def test_run_benchmark_keeps_each_replications_fit(monkeypatch):
-    from tridensity import simbench
     from tridensity.estimator import DensityFit
 
     forced = SingularBandwidth("forced for replication 1")
@@ -399,15 +427,28 @@ def test_replication_estimators_types():
     assert callable(est["kde"])
 
 
+def _no_sample(*args, **kwargs):
+    raise AssertionError("sampled")
+
+
+@pytest.mark.parametrize("methods, message", [
+    ((), "methods is empty"),
+    (("foo",), "unknown method 'foo'"),
+    (("kde", "kde"), "name a method twice"),
+])
+def test_replication_estimators_checks_methods_before_sampling(methods, message,
+                                                               monkeypatch):
+    monkeypatch.setattr(simbench, "sample", _no_sample)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replication_estimators(scenario_sim1(), 60, 12, methods=methods, folds=5)
+
+
 def test_replication_estimators_rejects_space_of_other_mesh_or_spec(square2, monkeypatch):
-    from tridensity import estimator, simbench
+    from tridensity import estimator
     from tridensity.bernstein import SplineSpec
 
-    def no_sample(*args, **kwargs):
-        raise AssertionError("sampled")
-
     scen = scenario_sim1()
-    monkeypatch.setattr(simbench, "sample", no_sample)
+    monkeypatch.setattr(simbench, "sample", _no_sample)
     with pytest.raises(ValueError, match="different mesh"):
         replication_estimators(scen, 60, 12, folds=5,
                                space=estimator.ModelSpace(square2, SplineSpec(3, 1)))
@@ -419,9 +460,10 @@ def test_replication_estimators_rejects_space_of_other_mesh_or_spec(square2, mon
 @pytest.mark.parametrize("kwargs", [{"n": 0}, {"folds": 1}, {"folds": 61},
                                     {"mise_resolution": 49},
                                     {"lambda_grid": [1e-3, float("nan")]},
-                                    {"lambda_grid": []}])
+                                    {"lambda_grid": []}, {"methods": ()},
+                                    {"methods": ("foo",)}, {"methods": ("kde", "kde")}])
 def test_run_benchmark_rejects_bad_input_before_fitting(kwargs, monkeypatch):
-    from tridensity import estimator, simbench
+    from tridensity import estimator
 
     def fail(*args, **kwargs):
         raise AssertionError("sampled or built a space")
