@@ -7,12 +7,14 @@ atomically (temp file plus rename) and are byte-identical for identical
 inputs and seed, on any set of usable CPUs and at a fixed BLAS thread
 count. The folds of a spline CV (fit --lambda-grid, cv, simulate) run in
 min(folds, usable CPUs) forked worker processes; taskset limits the
-usable CPUs. They run in one process unless BLAS is pinned to one thread
-(OPENBLAS_NUM_THREADS=1, or OMP_NUM_THREADS=1 with the former unset).
+usable CPUs. They run in one process unless the process runs one native
+thread, which holds where BLAS was pinned to one thread before numpy and
+scipy loaded it.
 
 Exit codes: 0 success, 2 input validation, 3 fit did not converge
-(artifacts are still written) or its density grid is not finite (the
-report and coefficients of fit are still written), 4 internal error.
+(artifacts are still written), every CV fold failed at every weight
+(AllFoldsFailed; nothing is written), or a density grid is not finite
+(the report and coefficients of fit are still written), 4 internal error.
 """
 
 import argparse
@@ -27,8 +29,8 @@ import numpy as np
 # Only what mesh-info needs is imported here; each command imports the
 # modules that pull in scipy where it uses them.
 from .assets import BUNDLED_MESHES, mesh_paths
-from .errors import (DidNotConverge, MeshError, PointOutsideDomain, TriDensityError,
-                     UnsupportedSmoothness)
+from .errors import (AllFoldsFailed, DidNotConverge, MeshError, PointOutsideDomain,
+                     TriDensityError, UnsupportedSmoothness)
 from .geometry import cell_grid, load_mesh, load_points, mesh_quality
 
 SCHEMA_VERSION = 2
@@ -52,7 +54,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (DidNotConverge, NonFiniteDensity) as exc:
+    except (DidNotConverge, AllFoldsFailed, NonFiniteDensity) as exc:
         _error_json(type(exc).__name__, str(exc), EXIT_CONVERGENCE)
         return EXIT_CONVERGENCE
     except (ValidationError, MeshError, PointOutsideDomain, UnsupportedSmoothness,

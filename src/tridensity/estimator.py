@@ -23,8 +23,8 @@ from .errors import DidNotConverge, PointOutsideDomain, SingularSystem
 from .quadrature import domain_nodes, rule_9
 from .spline_space import penalty_matrix
 
-# Linear predictors are capped here before exponentiation; an objective
-# whose predictor exceeds the cap is treated as +inf by the line search.
+# An objective whose linear predictor exceeds this at a quadrature node is
+# +inf, so the line search never steps there and exp cannot overflow.
 EXP_CAP = 700.0
 
 # Floor applied to the initial piecewise-constant density before taking
@@ -167,8 +167,7 @@ def objective(theta, work):
 
 def gradient(theta, work):
     space = work.space
-    eta = np.minimum(space.quad_basis @ theta, EXP_CAP)
-    w_exp = space.quad_weights * np.exp(eta)
+    w_exp = space.quad_weights * np.exp(space.quad_basis @ theta)
     return (
         -work.data_mean
         + space.quad_basis.T @ w_exp
@@ -182,8 +181,7 @@ def hessian(theta, work):
     while the strict lower triangle holds 2 lam P's and is not meant to be
     read. Mirror the upper triangle for the full symmetric matrix."""
     space = work.space
-    eta = np.minimum(space.quad_basis @ theta, EXP_CAP)
-    w_exp = space.quad_weights * np.exp(eta)
+    w_exp = space.quad_weights * np.exp(space.quad_basis @ theta)
     s = np.sqrt(w_exp)[:, None] * space.quad_basis
     # upper triangle of s^T s + 2 lam P; s.T is Fortran-ordered, so no copy
     return blas.dsyrk(1.0, s.T, c=2.0 * work.lam * space.reduced_penalty, beta=1.0)
@@ -262,13 +260,14 @@ class DensityFit:
 
 
 def log_integral_exp(tr, spec, gamma):
-    """Log of the quadrature integral of exp(g) for raw coefficients."""
+    """Log of the quadrature integral of exp(g) for raw coefficients,
+    shifted by the largest node value so that exp cannot overflow."""
     rule = rule_9()
     local = bernstein.evaluate(spec.degree, rule.nodes)
     dim = spec.per_triangle_dim
     eta = local @ gamma.reshape(tr.n_triangles, dim).T  # (n_q, N)
-    val = float(np.sum(tr.areas * (rule.weights @ np.exp(np.minimum(eta, EXP_CAP)))))
-    return float(np.log(val))
+    top = float(eta.max())
+    return top + float(np.log(np.sum(tr.areas * (rule.weights @ np.exp(eta - top)))))
 
 
 def density_from_gamma(tr, spec, gamma, points):

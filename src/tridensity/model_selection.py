@@ -11,7 +11,6 @@ and flagged rather than poisoning the whole grid cell.
 
 import multiprocessing
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -49,8 +48,7 @@ def held_out_score(space, theta, log_norm_const, test_rows):
     """Held-out score of the density exp(g_theta - log_norm_const): the
     squared term on the space's quadrature nodes, the mean over the rows
     of the reduced-basis design at the held-out points."""
-    eta = np.minimum(space.quad_basis @ theta - log_norm_const, EXP_CAP)
-    sq = float(space.quad_weights @ np.exp(2.0 * eta))
+    sq = float(space.quad_weights @ np.exp(2.0 * (space.quad_basis @ theta - log_norm_const)))
     test_vals = np.exp(np.minimum(test_rows @ theta - log_norm_const, EXP_CAP))
     return sq - 2.0 * float(np.mean(test_vals))
 
@@ -97,22 +95,26 @@ def check_lambda_grid(lambda_grid):
     return grid
 
 
+def _native_threads():
+    """Threads of this process, BLAS pools included (None without /proc)."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return None
+
+
 def _fold_workers(folds):
     """Worker processes for the folds: min(folds, usable CPUs), or 1
-    (in-process) unless fork is available, this process runs one
-    thread and is not a daemon (which may not start children), and BLAS
-    is pinned to one thread (OPENBLAS_NUM_THREADS, or OMP_NUM_THREADS if
-    that is unset, is 1). Forked workers with their own multi-threaded
-    BLAS pools oversubscribe the cores. Fork, safe with no other thread
-    alive, lets the workers inherit the space and the design matrix
-    instead of importing scipy and unpickling them."""
+    (in-process) unless fork is available, this process is not a daemon
+    (which may not start children) and it runs exactly one native thread.
+    A live BLAS pool is a native thread, so workers never share the cores
+    with one, and fork is safe with no other thread alive. Fork lets the
+    workers inherit the space and the design matrix instead of importing
+    scipy and unpickling them."""
     if not (hasattr(os, "sched_getaffinity")
             and "fork" in multiprocessing.get_all_start_methods()):
         return 1
-    if threading.active_count() != 1 or multiprocessing.current_process().daemon:
-        return 1
-    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
-    if blas is None or blas.strip() != "1":
+    if _native_threads() != 1 or multiprocessing.current_process().daemon:
         return 1
     return min(folds, len(os.sched_getaffinity(0)))
 
@@ -153,12 +155,12 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
     the CPU set (os.sched_getaffinity, which taskset limits) is the one
     cap. Each worker makes the same calls as the in-process loop, so the
     report is bit-identical on any CPU set at a fixed BLAS thread count.
-    The folds run in this process instead unless fork is available, no
-    other thread is alive, this process is not a daemon, and BLAS is
-    pinned to one thread: OPENBLAS_NUM_THREADS, or OMP_NUM_THREADS if that
-    is unset, must be 1. The pool is shut down and its workers joined
-    before this returns or raises; an exception other than TriDensityError
-    in a fold re-raises here, and a killed worker raises BrokenProcessPool.
+    The folds run in this process instead unless fork is available, this
+    process is not a daemon, and it runs one native thread (/proc/self/task),
+    as where BLAS was pinned to one thread before numpy and scipy loaded.
+    The pool is shut down and its workers joined before this returns or
+    raises; an exception other than TriDensityError in a fold re-raises
+    here, and a killed worker raises BrokenProcessPool.
     """
     lambda_grid = check_lambda_grid(lambda_grid)
     pts = estimator._points_array(points)
@@ -197,12 +199,9 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
 
     workers = _fold_workers(folds)
     if workers > 1:
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_install_fold, initargs=(run_fold,))
-        try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_install_fold, initargs=(run_fold,)) as pool:
             per_fold = list(pool.map(_call_fold, range(folds)))
-        finally:
-            pool.shutdown(cancel_futures=True)
     else:
         per_fold = [run_fold(k) for k in range(folds)]
     table = np.stack([errors for errors, _ in per_fold])  # (folds, n_lambda)

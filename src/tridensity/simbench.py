@@ -293,12 +293,17 @@ class KernelDensity:
 
     Deliberately unaware of the domain: mass integrates to one over the
     plane, so some of it leaks outside irregular domains. That leakage is
-    the behavior the benchmark contrasts against.
+    the behavior the benchmark contrasts against. Data points that are
+    not (n, 2) with n >= 1, evaluation points that are not (n, 2) with
+    n >= 0, or a bandwidth that is not 2 x 2 raise ValueError naming the
+    shape.
     """
 
     def __init__(self, points, bandwidth):
-        self.points = np.atleast_2d(np.asarray(points, dtype=float))
+        self.points = estimator._points_array(points)
         h = np.asarray(bandwidth, dtype=float)
+        if h.shape != (2, 2):
+            raise ValueError(f"bandwidth must have shape (2, 2), got {h.shape}")
         det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
         if not np.all(np.isfinite(h)) or det <= 0 or h[0, 0] <= 0:
             raise SingularBandwidth(f"bandwidth matrix {h.tolist()} is not SPD")
@@ -308,7 +313,7 @@ class KernelDensity:
 
     def kernel_matrix(self, eval_points):
         """K[i, j] = kernel centered at data point j evaluated at point i."""
-        pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
+        pts = estimator._points_array(eval_points, min_rows=0)
         d0 = pts[:, None, 0] - self.points[None, :, 0]
         d1 = pts[:, None, 1] - self.points[None, :, 1]
         q = (self._inv[0, 0] * d0 ** 2 + 2.0 * self._inv[0, 1] * d0 * d1
@@ -318,7 +323,7 @@ class KernelDensity:
     def __call__(self, eval_points):
         """Density values: row means of the kernel matrix, one block of rows
         at a time, so the full matrix is never held."""
-        pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
+        pts = estimator._points_array(eval_points, min_rows=0)
         out = np.empty(len(pts))
         for rows in _row_blocks(len(pts), len(self.points)):
             out[rows] = self.kernel_matrix(pts[rows]).mean(axis=1)
@@ -326,8 +331,10 @@ class KernelDensity:
 
 
 def normal_reference_bandwidth(points):
-    """Scott's rule for two dimensions: n^(-1/3) times the sample covariance."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    """Scott's rule for two dimensions: n^(-1/3) times the sample covariance.
+    points that are not (n, 2) with n >= 1 raise ValueError naming their
+    shape."""
+    pts = estimator._points_array(points)
     if len(pts) < 2:
         raise SingularBandwidth("need at least 2 points")
     cov = np.cov(pts.T, ddof=1)

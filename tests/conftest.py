@@ -100,6 +100,15 @@ def usable_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def native_threads(monkeypatch, n):
+    """Make select_lambda see n threads in this process (a live BLAS pool is
+    one), which with n = 1 lets it start fold workers, for the rest of the
+    test."""
+    from tridensity import model_selection
+
+    monkeypatch.setattr(model_selection, "_native_threads", lambda: n)
+
+
 def cli_command(one_cpu):
     """argv that runs the tridensity CLI in a fresh interpreter on every
     usable CPU, or on the first of them alone (as taskset -c would), which
@@ -114,11 +123,11 @@ def cli_command(one_cpu):
 
 @pytest.fixture
 def fold_pools(monkeypatch):
-    """Pins BLAS to one thread, offers four usable CPUs, and records the
-    worker count of every process pool select_lambda starts."""
+    """Shows select_lambda one native thread and four usable CPUs, and
+    records the worker count of every process pool it starts."""
     from tridensity import model_selection
 
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    native_threads(monkeypatch, 1)
     usable_cpus(monkeypatch, 4)
     started = []
 

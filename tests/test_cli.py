@@ -199,22 +199,15 @@ def test_density_nonfinite_grid_exit3(tmp_path, capsys):
     assert not dens.exists()
 
 
-def test_density_overflow_writes_only_the_error_line(tmp_path, data_csv):
-    """Coefficients of 2000 on triangle 0 overflow exp; in a fresh
-    interpreter, stderr is the NonFiniteDensity line and no numpy warning."""
-    fitdir = tmp_path / "fit"
-    assert cli.main([
-        "fit", "--bundled-mesh", "square_unit_32", "--data", data_csv,
-        "--lambda", "1e-3", "--out", str(fitdir),
-    ]) == 0
-    coef = fitdir / "coefficients.csv"
-    header, *rows = coef.read_text().splitlines()
-    rows = [row.rsplit(",", 1)[0] + ",2000.0" if row.startswith("0,") else row
-            for row in rows]
-    coef.write_text("\n".join([header, *rows]) + "\n")
+def test_density_overflow_writes_only_the_error_line(tmp_path):
+    """The cap fit of _horseshoe_overflow_fit overflows exp on its grid; in
+    a fresh interpreter, stderr is the NonFiniteDensity line and no numpy
+    warning."""
+    code, fitdir = _horseshoe_overflow_fit(tmp_path, 0)
+    assert code == 0
     dens = tmp_path / "dens.csv"
     proc = subprocess.run([
-        *cli_command(False), "density", "--bundled-mesh", "square_unit_32",
+        *cli_command(False), "density", "--bundled-mesh", "horseshoe_112",
         "--fit-dir", str(fitdir), "--grid", "60", "--out", str(dens),
     ], cwd=tmp_path, env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 3
@@ -223,13 +216,100 @@ def test_density_overflow_writes_only_the_error_line(tmp_path, data_csv):
     assert not dens.exists()
 
 
+@pytest.mark.parametrize("value", ["800.0", "2000.0"])
+def test_density_of_large_coefficients_integrates_to_one(tmp_path, data_csv, value):
+    """A large constant on triangles 0 and 1, the square [0, 1/4]^2, leaves
+    a finite density that the normalizing constant (shifted by its largest
+    node value) scales to integrate to one: 16 on that square's cells."""
+    fitdir = tmp_path / "fit"
+    assert cli.main([
+        "fit", "--bundled-mesh", "square_unit_32", "--data", data_csv,
+        "--lambda", "1e-3", "--out", str(fitdir),
+    ]) == 0
+    coef = fitdir / "coefficients.csv"
+    header, *rows = coef.read_text().splitlines()
+    rows = [row.rsplit(",", 1)[0] + "," + value if row.startswith(("0,", "1,")) else row
+            for row in rows]
+    coef.write_text("\n".join([header, *rows]) + "\n")
+    dens = tmp_path / "dens.csv"
+    assert cli.main([
+        "density", "--bundled-mesh", "square_unit_32", "--fit-dir", str(fitdir),
+        "--grid", "60", "--out", str(dens),
+    ]) == 0
+    grid = np.loadtxt(dens, delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(grid[:, 2]))
+    assert abs(grid[:, 2].sum() / 60 ** 2 - 1.0) < 1e-2  # unit square, 60 x 60 cells
+
+
 def _rejected(tmp_path, capsys, argv, kind):
-    """argv exits 2 with an error of this kind and writes nothing."""
+    """argv exits 2 with an error of this kind and writes nothing; returns
+    the error line."""
     out = tmp_path / "rejected"
     assert cli.main([*argv, "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert (err["error"], err["exit_code"]) == (kind, 2)
     assert not out.exists()
+    return err
+
+
+def test_bundled_mesh_conflicts_with_mesh_files(tmp_path, capsys):
+    err = _rejected(tmp_path, capsys, [
+        "mesh-info", "--bundled-mesh", "square_unit_32", "--mesh-vertices", "v.csv",
+    ], "ValidationError")
+    assert err["message"] == "--bundled-mesh conflicts with mesh file flags"
+
+
+def test_fit_header_only_data_exit2(tmp_path, capsys):
+    data = tmp_path / "header_only.csv"
+    data.write_text("x,y\n")
+    err = _rejected(tmp_path, capsys, [
+        "fit", "--bundled-mesh", "square_unit_32", "--data", str(data), "--lambda", "1e-3",
+    ], "ValidationError")
+    assert err["message"] == f"{data}: no data points"
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("1e-3,abc", "bad --lambda-grid value: could not convert string to float: 'abc'"),
+    (",", "--lambda-grid is empty"),
+], ids=["non_numeric", "no_value"])
+def test_cv_malformed_lambda_grid_exit2(tmp_path, data_csv, capsys, grid, message):
+    err = _rejected(tmp_path, capsys, [
+        "cv", "--bundled-mesh", "square_unit_32", "--data", data_csv, f"--lambda-grid={grid}",
+    ], "ValidationError")
+    assert err["message"] == message
+
+
+@pytest.mark.parametrize("command", ["cv", "fit"])
+def test_all_folds_failed_exit3(tmp_path, data_csv, capsys, monkeypatch, command):
+    """A CV where every fold fails at every weight exits 3, as a fit that
+    did not converge does, and writes nothing."""
+    starve_newton(monkeypatch, 1, 1e-15, 1e-18)
+    out = tmp_path / "out"
+    assert cli.main([
+        command, "--bundled-mesh", "square_unit_32", "--data", data_csv,
+        "--lambda-grid", "1e-3,1", "--folds", "5", "--out", str(out),
+    ]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["exit_code"]) == ("AllFoldsFailed", 3)
+    assert err["message"].startswith("every fold failed for every lambda in the grid; first: ")
+    assert list(tmp_path.iterdir()) == [tmp_path / "data.csv"]
+
+
+def test_unexpected_exception_exit4(capsys, monkeypatch):
+    def broken(tr):
+        raise RuntimeError("quality check broke")
+
+    monkeypatch.setattr(cli, "mesh_quality", broken)
+    assert cli.main(["mesh-info", "--bundled-mesh", "square_unit_32"]) == 4
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "RuntimeError", "message": "quality check broke",
+                                "exit_code": 4}
+
+
+def test_write_atomic_leaves_no_temp_file_when_the_write_fails(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_atomic(str(tmp_path / "out.csv"), "x\ud800\n")  # a lone surrogate
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags", [["--m", "2", "--r", "3"], ["--m", "-1"]])
@@ -432,12 +512,13 @@ def test_density_rejects_another_schema_version(tmp_path, data_csv, capsys):
 
 @pytest.mark.parametrize("fault", ["repeated_row", "inf_value", "nan_value", "missing_rows",
                                    "no_spec", "no_spec_r", "float_spec_m",
-                                   "report_not_object"])
+                                   "report_not_object", "bad_header", "triangle_out_of_range"])
 def test_density_rejects_bad_fit_artifact(tmp_path, data_csv, capsys, fault):
-    """A coefficient file that repeats a coefficient, holds a non-finite
-    value or lacks one, or a report that is no JSON object or has no
-    integer spec.m and spec.r, gives exit 2, names the line, coefficient or
-    key, and writes nothing."""
+    """A coefficient file with another header, that repeats a coefficient,
+    names a triangle the mesh lacks, holds a non-finite value or lacks one,
+    or a report that is no JSON object or has no integer spec.m and spec.r,
+    gives exit 2, names the line, coefficient or key, and writes
+    nothing."""
     fitdir = _fit_unit32(tmp_path, data_csv)
     coeff_path, report_path = fitdir / "coefficients.csv", fitdir / "fit_report.json"
     lines = coeff_path.read_text().splitlines()
@@ -455,6 +536,12 @@ def test_density_rejects_bad_fit_artifact(tmp_path, data_csv, capsys, fault):
         lines = [line for line in lines if line not in dropped]
         assert len(dropped) == 11
         expected = "11 missing, first triangle 5, (i, j, k) = (2, 1, 0)"
+    elif fault == "bad_header":
+        lines[0] = "triangle,i,j,k,coefficient"
+        expected = "unexpected header 'triangle,i,j,k,coefficient'"
+    elif fault == "triangle_out_of_range":  # square_unit_32 has triangles 0-31
+        lines[2] = ",".join(["32"] + lines[2].split(",")[1:])
+        expected = "line 3: triangle index 32 out of range"
     elif fault == "no_spec":
         del report["spec"]
         expected = "key spec.m"
@@ -478,6 +565,15 @@ def test_density_rejects_bad_fit_artifact(tmp_path, data_csv, capsys, fault):
     assert not dens.exists()
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError" and expected in err["message"], err
+
+
+def test_density_grid_zero_exit2(tmp_path, data_csv, capsys):
+    fitdir = _fit_unit32(tmp_path, data_csv)
+    capsys.readouterr()
+    err = _rejected(tmp_path, capsys, [
+        "density", "--bundled-mesh", "square_unit_32", "--fit-dir", str(fitdir), "--grid", "0",
+    ], "ValidationError")
+    assert err["message"] == "--grid must be at least 1"
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -1,8 +1,11 @@
 import contextlib
+import json
 import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
 import threading
 from concurrent.futures.process import BrokenProcessPool
 
@@ -21,7 +24,7 @@ from tridensity.model_selection import (
     select_lambda,
 )
 
-from conftest import make_workspace, starve_newton, usable_cpus
+from conftest import make_workspace, native_threads, starve_newton, usable_cpus
 
 
 def test_fold_assignments_partition():
@@ -264,24 +267,25 @@ def test_threads_do_not_change_results(unit32, rng, fold_pools, monkeypatch):
         assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("openblas, omp, workers", [
-    ("1", None, 3), (None, "1", 3), ("1", "4", 3), (None, None, 1), ("2", None, 1),
-    ("2", "1", 1), ("", "1", 1),
-])
-def test_fold_workers_need_blas_pinned_to_one_thread(monkeypatch, openblas, omp, workers):
+@pytest.mark.parametrize("threads, workers", [(1, 3), (2, 1), (3, 1), (None, 1)])
+def test_fold_workers_need_one_native_thread(monkeypatch, threads, workers):
+    """One native thread starts the pool whatever the BLAS variables say;
+    a second (a live BLAS pool), or no count from /proc, keeps the folds
+    in-process."""
     usable_cpus(monkeypatch, 4)
-    for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
-        if value is None:
-            monkeypatch.delenv(name, raising=False)
+    native_threads(monkeypatch, threads)
+    for blas in (None, "1", "2"):
+        if blas is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         else:
-            monkeypatch.setenv(name, value)
-    assert model_selection._fold_workers(3) == workers
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        assert model_selection._fold_workers(3) == workers
     usable_cpus(monkeypatch, 1)
     assert model_selection._fold_workers(3) == 1
 
 
 def test_fold_workers_are_capped_by_folds_threads_and_cpus(monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    native_threads(monkeypatch, 1)
     workers = []
     for folds, cpus in ((10, 3), (2, 3), (10, 2), (10, 8), (2, 8)):
         usable_cpus(monkeypatch, cpus)
@@ -290,23 +294,28 @@ def test_fold_workers_are_capped_by_folds_threads_and_cpus(monkeypatch):
 
 
 def test_fold_workers_stay_serial_with_another_thread_alive(monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    usable_cpus(monkeypatch, 4)
+    """A Python thread is one more native thread, and any second thread
+    keeps the folds in-process."""
+    before = model_selection._native_threads()
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
     try:
-        assert model_selection._fold_workers(4) == 1
+        assert model_selection._native_threads() == before + 1
     finally:
         stop.set()
         other.join()
+    usable_cpus(monkeypatch, 4)
+    native_threads(monkeypatch, 2)
+    assert model_selection._fold_workers(4) == 1
+    native_threads(monkeypatch, 1)
     assert model_selection._fold_workers(4) == 4
 
 
 def test_fold_workers_stay_serial_in_a_daemon_process(monkeypatch):
     """A daemon, such as a multiprocessing.Pool worker, may not start
     processes of its own."""
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    native_threads(monkeypatch, 1)
     usable_cpus(monkeypatch, 4)
     monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
     assert model_selection._fold_workers(4) == 1
@@ -315,11 +324,93 @@ def test_fold_workers_stay_serial_in_a_daemon_process(monkeypatch):
 
 
 def test_unpinned_blas_starts_no_pool(unit32, rng, fold_pools, monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    native_threads(monkeypatch, 3)  # the main thread beside numpy's and scipy's BLAS pools
     pts = rng.random((40, 2))
     report = select_lambda(unit32, pts, SplineSpec(3, 1), [1e-3], folds=4, seed=0)
     assert fold_pools == []
     assert np.isfinite(report.cv_errors[0])
+
+
+_FRESH_CV = """
+import json, os
+{prelude}
+import numpy as np
+from tridensity import model_selection
+from tridensity.assets import load_bundled_mesh
+from tridensity.bernstein import SplineSpec
+
+pools = []
+
+class Spy(model_selection.ProcessPoolExecutor):
+    def __init__(self, max_workers, **kwargs):
+        pools.append(max_workers)
+        super().__init__(max_workers, **kwargs)
+
+model_selection.ProcessPoolExecutor = Spy
+threads = len(os.listdir("/proc/self/task"))
+report = model_selection.select_lambda(
+    load_bundled_mesh("square_unit_32"), np.random.default_rng(4).random((60, 2)),
+    SplineSpec(3, 1), [1e-4, 1e-2], folds=4, seed=1)
+print(json.dumps({{"threads": threads, "pools": pools, "cv_errors": report.cv_errors,
+                  "fold_errors": report.fold_errors.tolist()}}))
+"""
+
+
+def _fresh_cv(env=None, prelude=""):
+    """select_lambda in a fresh interpreter with the BLAS variables
+    removed, then env added; prelude runs before numpy is imported. Returns
+    the child's native thread count before the CV, the worker count of each
+    pool it started, and its cv_errors and fold_errors."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    child_env = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    child_env.update(env or {})
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_CV.format(prelude=prelude)],
+                          env=child_env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+needs_two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                                    reason="fold workers need two usable CPUs")
+FRESH_WORKERS = min(4, len(os.sched_getaffinity(0)))
+
+
+@needs_two_cpus
+def test_fresh_process_with_unpinned_blas_keeps_the_folds_in_process():
+    out = _fresh_cv()
+    assert out["threads"] > 1
+    assert out["pools"] == []
+
+
+@needs_two_cpus
+def test_fresh_process_pinning_blas_after_import_keeps_the_folds_in_process():
+    """A pin set after numpy and scipy have started their BLAS pools, as a
+    notebook might, leaves those pools alive."""
+    out = _fresh_cv(prelude="import numpy, scipy.linalg\n"
+                            "os.environ['OPENBLAS_NUM_THREADS'] = '1'")
+    assert out["threads"] > 1
+    assert out["pools"] == []
+
+
+@needs_two_cpus
+def test_fresh_process_with_goto_num_threads_starts_the_pool():
+    out = _fresh_cv({"GOTO_NUM_THREADS": "1"})
+    assert out["threads"] == 1
+    assert out["pools"] == [FRESH_WORKERS]
+
+
+@needs_two_cpus
+def test_fresh_process_with_blas_pinned_at_start_forks_the_one_cpu_report():
+    forked = _fresh_cv({"OPENBLAS_NUM_THREADS": "1"})
+    cpu = min(os.sched_getaffinity(0))
+    serial = _fresh_cv({"OPENBLAS_NUM_THREADS": "1"},
+                       prelude=f"os.sched_setaffinity(0, {{{cpu}}})")
+    assert (forked["threads"], forked["pools"]) == (1, [FRESH_WORKERS])
+    assert serial["pools"] == []
+    assert (forked["cv_errors"], forked["fold_errors"]) == (
+        serial["cv_errors"], serial["fold_errors"])
 
 
 @contextlib.contextmanager

@@ -219,6 +219,20 @@ def test_kde_singular_bandwidth():
         normal_reference_bandwidth(np.array([[0.1, 0.2]]))
 
 
+def test_kde_names_a_malformed_points_or_bandwidth_shape():
+    rng = np.random.default_rng(2)
+    with pytest.raises(ValueError, match=re.escape("got (50, 3)")):
+        normal_reference_bandwidth(rng.random((50, 3)))
+    with pytest.raises(ValueError, match=re.escape("got (50, 3)")):
+        KernelDensity(rng.random((50, 3)), np.eye(2) * 0.01)
+    with pytest.raises(ValueError, match=re.escape("bandwidth must have shape (2, 2), got (3, 3)")):
+        KernelDensity(rng.random((50, 2)), np.eye(3) * 0.01)
+    kde = KernelDensity(rng.random((50, 2)), np.eye(2) * 0.01)
+    with pytest.raises(ValueError, match=re.escape("got (5, 3)")):
+        kde(rng.random((5, 3)))
+    assert kde(np.empty((0, 2))).shape == (0,)
+
+
 def test_bandwidth_grid_shape():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(50, 2))
@@ -455,6 +469,12 @@ def test_replication_estimators_rejects_space_of_other_mesh_or_spec(square2, mon
     with pytest.raises(ValueError, match="built for"):
         replication_estimators(scen, 60, 12, spec=SplineSpec(2, 1), folds=5,
                                space=estimator.ModelSpace(scen.domain, SplineSpec(3, 1)))
+
+
+def test_run_benchmark_rejects_zero_reps(monkeypatch):
+    monkeypatch.setattr(simbench, "sample", _no_sample)
+    with pytest.raises(ValueError, match="reps must be at least 1"):
+        run_benchmark("sim1", 60, 0)
 
 
 @pytest.mark.parametrize("kwargs", [{"n": 0}, {"folds": 1}, {"folds": 61},
