@@ -64,7 +64,7 @@ class DidNotConverge(TriDensityError):
 
 
 class AllFoldsFailed(TriDensityError):
-    """Every cross-validation fold failed for one penalty value."""
+    """Every cross-validation fold failed at every penalty value of the grid."""
 
 
 class SingularBandwidth(TriDensityError):

@@ -121,13 +121,14 @@ class ModelSpace:
         return self.basis.shape[1]
 
     def check(self, tr, spec):
-        """Raise ValueError unless this space was built for spec on tr, or
-        on a mesh with equal vertex and triangle arrays."""
+        """Return this space; raise ValueError unless it was built for spec
+        on tr, or on a mesh with equal vertex and triangle arrays."""
         if spec != self.spec:
             raise ValueError(f"space is built for {self.spec}, not {spec}")
         if not (tr is self.tr or (np.array_equal(tr.vertices, self.tr.vertices)
                                   and np.array_equal(tr.triangles, self.tr.triangles))):
             raise ValueError("space is built on a different mesh")
+        return self
 
     def data_basis(self, points):
         """Reduced-basis design matrix at data points (dense rows) and the
@@ -311,10 +312,7 @@ def fit(tr, points, config=None, space=None):
     """
     config = config or FitConfig()
     pts = _points_array(points)
-    if space is None:
-        space = ModelSpace(tr, config.spec)
-    else:
-        space.check(tr, config.spec)
+    space = ModelSpace(tr, config.spec) if space is None else space.check(tr, config.spec)
     bq, triangle_index = space.data_basis(pts)
     work = Workspace(space=space, data_mean=bq.mean(axis=0), lam=config.lam)
     return newton(work, seed_theta(space, triangle_index))

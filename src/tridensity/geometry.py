@@ -377,6 +377,9 @@ def _read_csv_table(source, expected_header, cast):
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) < len(expected_header):
+                raise MeshError(f"{name}: line {lineno}: expected {len(expected_header)} "
+                                f"fields, got {len(row)}")
             try:
                 rows.append([cast(x) for x in row[: len(expected_header)]])
             except ValueError as exc:

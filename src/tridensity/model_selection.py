@@ -37,10 +37,7 @@ def fold_assignments(n, folds, seed):
     sizes = np.full(folds, n // folds)
     sizes[: n % folds] += 1
     out = np.empty(n, dtype=np.int64)
-    start = 0
-    for k, size in enumerate(sizes):
-        out[perm[start:start + size]] = k
-        start += size
+    out[perm] = np.repeat(np.arange(folds), sizes)
     return out
 
 
@@ -76,11 +73,7 @@ class CvReport:
 
 def pick_best(lambda_grid, cv_errors):
     """Index of the smallest error, ties broken toward the larger weight."""
-    best = int(np.argmin(cv_errors))
-    for gi in range(len(lambda_grid)):
-        if cv_errors[gi] == cv_errors[best] and lambda_grid[gi] > lambda_grid[best]:
-            best = gi
-    return best
+    return min(range(len(lambda_grid)), key=lambda gi: (cv_errors[gi], -lambda_grid[gi]))
 
 
 def check_lambda_grid(lambda_grid):
@@ -166,10 +159,7 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
     pts = estimator._points_array(points)
     n = len(pts)
     assign = fold_assignments(n, folds, seed)
-    if space is None:
-        space = ModelSpace(tr, spec)
-    else:
-        space.check(tr, spec)
+    space = ModelSpace(tr, spec) if space is None else space.check(tr, spec)
 
     data_basis, triangle_index = space.data_basis(pts)  # shared, read-only
     order = np.argsort(lambda_grid, kind="stable")
@@ -209,16 +199,11 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
         (gi, k, msg) for k, (_, failures) in enumerate(per_fold) for gi, msg in failures
     )
 
-    cv_errors = []
-    failed = []
-    for gi in range(len(lambda_grid)):
-        col = table[:, gi]
-        ok = np.isfinite(col)
-        failed.append([int(k) for k in np.where(~ok)[0]])
-        cv_errors.append(float(col[ok].mean()) if ok.any() else float("inf"))
-
-    finite = [e for e in cv_errors if np.isfinite(e)]
-    if not finite:
+    ok = np.isfinite(table)
+    failed = [np.flatnonzero(~col_ok).tolist() for col_ok in ok.T]
+    cv_errors = [float(col[col_ok].mean()) if col_ok.any() else float("inf")
+                 for col, col_ok in zip(table.T, ok.T)]
+    if not ok.any():
         message = "every fold failed for every lambda in the grid"
         if fold_failures:
             gi, k, cause = fold_failures[0]

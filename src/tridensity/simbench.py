@@ -55,7 +55,6 @@ class Scenario:
     name: str
     domain: object                 # Triangulation used for fitting and scoring
     density: object                # callable (n, 2) -> normalized values
-    bbox: tuple                    # (xmin, xmax, ymin, ymax) sampling box
     density_max: float             # grid estimate of the density maximum
     components: tuple = ()
 
@@ -122,11 +121,14 @@ def _domain_grid(tr, resolution):
     return centers, tr.locate(centers) >= 0, cell
 
 
-def _normalize_over_domain(raw, tr, resolution=_NORM_RESOLUTION):
-    """Normalizing constant and max of a raw density over the domain grid."""
-    centers, mask, cell = _domain_grid(tr, resolution)
+def _scenario(name, tr, raw, components=()):
+    """Scenario of raw on tr, normalized and its maximum estimated over
+    the in-domain cells of the _NORM_RESOLUTION grid."""
+    centers, mask, cell = _domain_grid(tr, _NORM_RESOLUTION)
     vals = raw(centers[mask])
-    return float(vals.sum() * cell), float(vals.max())
+    norm = float(vals.sum() * cell)
+    return Scenario(name=name, domain=tr, density=lambda pts: raw(pts) / norm,
+                    density_max=float(vals.max()) / norm, components=components)
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +140,6 @@ def scenario_sim1():
         GaussComponent((-2.0, 1.5), ((0.6, 0.0), (0.0, 0.6)), 0.25),
         GaussComponent((2.0, 2.0), ((1.0, 0.9), (0.9, 1.0)), 0.25),
     )
-    tr = load_bundled_mesh("square_sim1_50")
 
     def raw(pts):
         out = np.zeros(len(np.atleast_2d(pts)))
@@ -146,12 +147,7 @@ def scenario_sim1():
             out += c.weight * gaussian_pdf(pts, np.array(c.mean), np.array(c.cov))
         return out
 
-    norm, peak = _normalize_over_domain(raw, tr)
-    density = lambda pts: raw(pts) / norm
-    return Scenario(
-        name="sim1", domain=tr, density=density, bbox=tr.bounding_box(),
-        density_max=peak / norm, components=comps,
-    )
+    return _scenario("sim1", load_bundled_mesh("square_sim1_50"), raw, comps)
 
 
 @lru_cache(maxsize=None)
@@ -161,21 +157,14 @@ def scenario_sim2():
     The raw ridge function is raised by five (making it strictly positive
     on the domain) and normalized numerically.
     """
-    tr = load_bundled_mesh("horseshoe_112")
-    raw = lambda pts: horseshoe_function(pts) + 5.0
-    norm, peak = _normalize_over_domain(raw, tr)
-    density = lambda pts: raw(pts) / norm
-    return Scenario(
-        name="sim2", domain=tr, density=density, bbox=tr.bounding_box(),
-        density_max=peak / norm,
-    )
+    return _scenario("sim2", load_bundled_mesh("horseshoe_112"),
+                     lambda pts: horseshoe_function(pts) + 5.0)
 
 
 @lru_cache(maxsize=None)
 def scenario_sim3():
     """Horseshoe mixture: ridge base, two tight Gaussians, one skewed."""
     base = scenario_sim2()
-    tr = base.domain
     gauss = (
         GaussComponent((0.9, -0.5), ((0.04, 0.0), (0.0, 0.01)), 0.05),
         GaussComponent((2.0, -0.5), ((0.02, 0.0), (0.0, 0.01)), 0.05),
@@ -191,12 +180,7 @@ def scenario_sim3():
         out = out + skew.weight * skew_normal_pdf(pts, skew)
         return out
 
-    norm, peak = _normalize_over_domain(raw, tr)
-    density = lambda pts: raw(pts) / norm
-    return Scenario(
-        name="sim3", domain=tr, density=density, bbox=tr.bounding_box(),
-        density_max=peak / norm, components=gauss + (skew,),
-    )
+    return _scenario("sim3", base.domain, raw, gauss + (skew,))
 
 
 SCENARIOS = {
@@ -224,7 +208,7 @@ def sample(scenario, n, seed):
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    xmin, xmax, ymin, ymax = scenario.bbox
+    xmin, xmax, ymin, ymax = scenario.domain.bounding_box()
     envelope = 1.1 * scenario.density_max
     batch = max(4 * n, 1024)
     for _ in range(64):  # envelope doublings
@@ -260,13 +244,10 @@ def mise(estimate, scenario, resolution=100):
     a resolution x resolution grid covering the bounding box.
     """
     _check_resolution(resolution)
-    fn = estimate.density if hasattr(estimate, "density") else estimate
     centers, mask, cell = _domain_grid(scenario.domain, resolution)
-    est = fn(centers[mask])
-    if isinstance(est, tuple):  # DensityFit.density returns (values, inside)
-        est = est[0]
-    truth = scenario.density(centers[mask])
-    return float(np.sum((np.asarray(est) - truth) ** 2) * cell)
+    pts = centers[mask]
+    est = estimate.density(pts)[0] if hasattr(estimate, "density") else estimate(pts)
+    return float(np.sum((np.asarray(est) - scenario.density(pts)) ** 2) * cell)
 
 
 def _check_resolution(resolution):

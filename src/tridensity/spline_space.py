@@ -95,19 +95,16 @@ def nullspace(h):
 
     Returns (basis, rank) where basis has orthonormal columns spanning
     null(h). Rank counts singular values above RANK_RTOL times the largest.
-    A matrix with no rows yields the identity and rank zero.
+    An all-zero matrix, or one with no rows, yields the identity and rank zero.
     """
     # a private Fortran-ordered copy, which the SVD may overwrite in place
     if sparse.issparse(h):
         h = h.toarray(order="F").astype(float, copy=False)
     else:
         h = np.array(h, dtype=float, order="F")
-    n = h.shape[1]
-    if h.shape[0] == 0:
-        return np.eye(n), 0
+    if not h.any():
+        return np.eye(h.shape[1]), 0
     s, vt = linalg.svd(h, full_matrices=True, overwrite_a=True, check_finite=False)[1:]
-    if s.size == 0 or s[0] == 0.0:
-        return np.eye(n), 0
     rank = int(np.sum(s > RANK_RTOL * s[0]))
     return vt[rank:].T.copy(), rank
 

@@ -23,6 +23,36 @@ def grid_mesh(xmin, xmax, ymin, ymax, nx, ny):
     return Triangulation(np.array(verts, float), np.array(tris))
 
 
+# The unit square as CSV files, and one data point inside it
+SQUARE_CSV = {"vertices": "x,y\n0,0\n1,0\n1,1\n0,1\n",
+              "triangles": "v1,v2,v3\n0,1,2\n0,2,3\n",
+              "points": "x,y\n0.25,0.5\n"}
+
+# (file, its text with a row shorter than the header, where and how short
+# the row is). Kept, such rows would pair up into other rows: the first case
+# would read as three points and the last as the square's two triangles.
+SHORT_ROWS = [
+    pytest.param("points", "x,y\n0.1\n0.2\n0.3\n0.4\n0.5\n0.6\n",
+                 "line 2: expected 2 fields, got 1", id="points-all"),
+    pytest.param("points", "x,y\n0.1,0.2\n0.3\n0.5,0.6\n",
+                 "line 3: expected 2 fields, got 1", id="points-one"),
+    pytest.param("vertices", "x,y\n0,0\n1,0\n1\n0,1\n",
+                 "line 4: expected 2 fields, got 1", id="vertices"),
+    pytest.param("triangles", "v1,v2,v3\n0,1\n2,0\n2,3\n",
+                 "line 2: expected 3 fields, got 2", id="triangles"),
+]
+
+
+def write_square_csvs(tmp_path, **texts):
+    """Write SQUARE_CSV's files under tmp_path, with the text given for a
+    file name in its place; returns the paths by file name."""
+    paths = {}
+    for name, text in {**SQUARE_CSV, **texts}.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(text)
+    return paths
+
+
 def make_workspace(space, points, lam):
     """The objective's Workspace for points at weight lam."""
     from tridensity.estimator import Workspace

@@ -88,7 +88,8 @@ def test_removed_helpers_and_options_stay_gone():
                          (bernstein, "interpolate_function"), (bernstein, "domain_points"),
                          (bernstein, "_collocation_solver"), (quadrature, "rule_12"),
                          (quadrature, "_orbit6"), (estimator, "make_workspace"),
-                         (model_selection, "_check_threads")):
+                         (model_selection, "_check_threads"),
+                         (simbench, "_normalize_over_domain")):
         assert not hasattr(module, name), name
     space = estimator.ModelSpace(mesh, estimator.FitConfig().spec)
     for gone in ("constraints", "penalty", "quad_points"):
@@ -97,6 +98,9 @@ def test_removed_helpers_and_options_stay_gone():
     assert [f.name for f in dataclasses.fields(simbench.SkewNormalComponent)] == [
         "xi", "omega", "alpha", "weight"]
     assert not hasattr(simbench.Scenario, "true_density")
+    assert not hasattr(simbench.Scenario, "bbox")
+    assert [f.name for f in dataclasses.fields(simbench.Scenario)] == [
+        "name", "domain", "density", "density_max", "components"]
     assert [f.name for f in dataclasses.fields(simbench.MiseResult)] == [
         "method", "per_replication", "mean", "sd", "sd_defined", "n_failed", "failures",
         "estimates"]

@@ -118,6 +118,12 @@ def test_orders_beyond_degree_are_zero(rng):
     assert vals.shape == (1, 6) and np.abs(vals).max() == 0.0
 
 
+@pytest.mark.parametrize("orders", [(-1, 0), (0, -1)])
+def test_negative_orders_rejected(rng, orders):
+    with pytest.raises(ValueError, match="^derivative orders must be nonnegative$"):
+        derivative(2, random_triangle(rng), orders, [[0.3, 0.3, 0.4]])
+
+
 def test_evaluation_matrix_shape_and_unity(square2):
     spec = SplineSpec(2, 0)
     matrix, triangle_index = evaluation_matrix(square2, spec, [[0.75, 0.25]])

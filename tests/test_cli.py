@@ -10,7 +10,7 @@ from tridensity import cli, estimator, model_selection, simbench
 from tridensity.bernstein import SplineSpec
 from tridensity.errors import SingularBandwidth
 
-from conftest import cli_command, starve_newton
+from conftest import SHORT_ROWS, cli_command, starve_newton, write_square_csvs
 
 
 def write_points(path, pts):
@@ -257,6 +257,17 @@ def test_bundled_mesh_conflicts_with_mesh_files(tmp_path, capsys):
         "mesh-info", "--bundled-mesh", "square_unit_32", "--mesh-vertices", "v.csv",
     ], "ValidationError")
     assert err["message"] == "--bundled-mesh conflicts with mesh file flags"
+
+
+@pytest.mark.parametrize("which, text, where", SHORT_ROWS)
+def test_short_csv_row_exit2(tmp_path, capsys, which, text, where):
+    paths = write_square_csvs(tmp_path, **{which: text})
+    err = _rejected(tmp_path, capsys, [
+        "fit", "--mesh-vertices", str(paths["vertices"]),
+        "--mesh-triangles", str(paths["triangles"]), "--data", str(paths["points"]),
+        "--lambda", "1e-3",
+    ], "MeshError")
+    assert err["message"] == f"{paths[which]}: {where}"
 
 
 def test_fit_header_only_data_exit2(tmp_path, capsys):

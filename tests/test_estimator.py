@@ -380,8 +380,9 @@ def test_fit_rejects_space_of_other_mesh_or_spec(unit32_space, square2):
             space=unit32_space)
     reloaded = load_mesh(*mesh_paths("square_unit_32"))
     assert reloaded is not unit32_space.tr
+    assert unit32_space.check(reloaded, SplineSpec(3, 1)) is unit32_space
     f = fit(reloaded, pts, FitConfig(lam=1e-3), space=unit32_space)
-    assert f.converged
+    assert f.converged and f.space is unit32_space
 
 
 def test_did_not_converge_carries_iterate(unit32_space, monkeypatch):

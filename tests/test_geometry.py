@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from tridensity.geometry import (
     mesh_quality,
 )
 
-from conftest import grid_mesh, random_triangle
+from conftest import SHORT_ROWS, grid_mesh, random_triangle, write_square_csvs
 
 
 def test_load_mesh_square(tmp_path):
@@ -42,6 +43,26 @@ def test_load_mesh_bad_index(tmp_path):
     tp.write_text("v1,v2,v3\n0,1,99\n")
     with pytest.raises(IndexOutOfRange):
         load_mesh(vp, tp)
+
+
+@pytest.mark.parametrize("which, text, where", SHORT_ROWS)
+def test_short_row_names_its_file_and_line(tmp_path, which, text, where):
+    paths = write_square_csvs(tmp_path, **{which: text})
+    with pytest.raises(MeshError, match=f"^{re.escape(f'{paths[which]}: {where}')}$"):
+        if which == "points":
+            load_points(paths["points"])
+        else:
+            load_mesh(paths["vertices"], paths["triangles"])
+
+
+@pytest.mark.parametrize("vertices, triangles, message", [
+    ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]], "vertices must be a (V, 2) array"),
+    ([[0, 0], [1, 0], [0, 1]], [[0, 1]], "triangles must be a (N, 3) array"),
+    ([[0, 0], [1, 0], [0, 1]], np.empty((0, 3), dtype=np.int64), "mesh has no triangles"),
+])
+def test_malformed_arrays_rejected(vertices, triangles, message):
+    with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+        Triangulation(vertices, triangles)
 
 
 def test_overlapping_triangles_rejected():
@@ -313,6 +334,9 @@ def test_load_points_and_errors(tmp_path):
     p.write_text("x,y\n0.25,0.5\n")
     assert load_points(p).tolist() == [[0.25, 0.5]]
     assert load_points(io.StringIO("x,y\n1,2\n3,4\n")).shape == (2, 2)
+    assert load_points(io.StringIO("x,y\n1,2\n\n3,4\n")).tolist() == [[1, 2], [3, 4]]
+    with pytest.raises(MeshError, match="^<stream>: empty file$"):
+        load_points(io.StringIO(""))
     with pytest.raises(MeshError):
         load_points(io.StringIO("a,b\n1,2\n"))
     with pytest.raises(MeshError):

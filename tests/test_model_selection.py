@@ -36,6 +36,30 @@ def test_fold_assignments_partition():
     assert not np.array_equal(assign, fold_assignments(103, 10, seed=6))
 
 
+def _fold_assignments_loop(n, folds, seed):
+    """Oracle: the fold ids set chunk by chunk of the seeded permutation,
+    the first n % folds chunks one longer."""
+    perm = np.random.default_rng(seed).permutation(n)
+    sizes = np.full(folds, n // folds)
+    sizes[: n % folds] += 1
+    out = np.empty(n, dtype=np.int64)
+    start = 0
+    for k, size in enumerate(sizes):
+        out[perm[start:start + size]] = k
+        start += size
+    return out
+
+
+def test_fold_assignments_match_the_chunk_loop():
+    for n in (2, 3, 7, 10, 11, 40, 59, 103, 600, 2000):
+        for folds in (2, 3, 4, 5, 7, 10):
+            for seed in (0, 1, 13, 2 ** 40 + 3):
+                if folds <= n:
+                    got = fold_assignments(n, folds, seed)
+                    want = _fold_assignments_loop(n, folds, seed)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (n, folds, seed)
+
+
 def test_fold_assignments_validation():
     with pytest.raises(ValueError):
         fold_assignments(10, 1, seed=0)
@@ -57,6 +81,25 @@ def test_pick_best_prefers_larger_lambda_on_ties():
     assert pick_best([1e-4, 1e-3, 1e-2], [0.5, 0.1, 0.1]) == 2
     assert pick_best([1e-2, 1e-3, 1e-4], [0.1, 0.1, 0.5]) == 0
     assert pick_best([1e-4, 1e-3], [0.2, 0.5]) == 0
+
+
+def _pick_best_loop(lambda_grid, cv_errors):
+    """Oracle: the first smallest error, then any later tie of larger weight."""
+    best = int(np.argmin(cv_errors))
+    for gi in range(len(lambda_grid)):
+        if cv_errors[gi] == cv_errors[best] and lambda_grid[gi] > lambda_grid[best]:
+            best = gi
+    return best
+
+
+def test_pick_best_matches_the_tie_loop(rng):
+    """Random grids, repeated weights among them, with tied and inf errors."""
+    for _ in range(2000):
+        size = int(rng.integers(1, 10))
+        grid = rng.choice([0.0, 1e-6, 1e-3, 0.1, 1.0, 10.0], size).tolist()
+        errors = rng.choice([-0.5, -0.25, 0.125, np.inf], size).tolist()
+        best = pick_best(grid, errors)
+        assert type(best) is int and best == _pick_best_loop(grid, errors), (grid, errors)
 
 
 def test_single_lambda_grid(unit32, rng):
@@ -213,15 +256,21 @@ def test_fold_failures_keep_each_cause(unit32, rng, monkeypatch):
 
 def _check_fold_errors(report):
     """fold_errors is the (folds, grid) table: NaN exactly at the failed
-    fits, and its finite entries average to cv_errors."""
+    fits. Column by column, its non-finite entries are the failed folds and
+    its finite entries average to cv_errors."""
     table = report.fold_errors
     assert table.shape == (report.folds, len(report.lambda_grid))
     failed = {(gi, k) for gi, k, _ in report.fold_failures}
     assert {(int(gi), int(k)) for k, gi in zip(*np.nonzero(np.isnan(table)))} == failed
     assert np.all(np.isfinite(table) | np.isnan(table))
-    for gi, err in enumerate(report.cv_errors):
-        col = table[:, gi][np.isfinite(table[:, gi])]
-        assert err == (col.mean() if col.size else float("inf"))
+    failed_folds, cv_errors = [], []
+    for gi in range(len(report.lambda_grid)):
+        col = table[:, gi]
+        ok = np.isfinite(col)
+        failed_folds.append([int(k) for k in np.where(~ok)[0]])
+        cv_errors.append(float(col[ok].mean()) if ok.any() else float("inf"))
+    assert report.failed_folds == failed_folds
+    assert report.cv_errors == cv_errors
 
 
 def test_lambda_at_grid_edge():
@@ -282,6 +331,29 @@ def test_fold_workers_need_one_native_thread(monkeypatch, threads, workers):
         assert model_selection._fold_workers(3) == workers
     usable_cpus(monkeypatch, 1)
     assert model_selection._fold_workers(3) == 1
+
+
+def test_no_task_list_keeps_the_folds_in_process(unit32, rng, monkeypatch):
+    """Without /proc/self/task the thread count is unknown, and the folds
+    run in this process."""
+    listdir = os.listdir
+
+    def no_proc(path):
+        if str(path).startswith("/proc/"):
+            raise FileNotFoundError(path)
+        return listdir(path)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool started")
+
+    monkeypatch.setattr(os, "listdir", no_proc)
+    monkeypatch.setattr(model_selection, "ProcessPoolExecutor", no_pool)
+    usable_cpus(monkeypatch, 4)
+    assert model_selection._native_threads() is None
+    assert model_selection._fold_workers(4) == 1
+    report = select_lambda(unit32, rng.random((40, 2)), SplineSpec(3, 1), [1e-3],
+                           folds=4, seed=0)
+    assert np.isfinite(report.cv_errors[0])
 
 
 def test_fold_workers_are_capped_by_folds_threads_and_cpus(monkeypatch):

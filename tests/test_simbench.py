@@ -163,7 +163,7 @@ def test_sample_envelope_rebuild_is_deterministic():
     base = scenario_sim2()
     tight = Scenario(
         name="tight", domain=base.domain, density=base.density,
-        bbox=base.bbox, density_max=base.density_max / 100.0,
+        density_max=base.density_max / 100.0,
     )
     a = sample(tight, 100, seed=5)
     b = sample(tight, 100, seed=5)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from tridensity import bernstein
+from tridensity import bernstein, spline_space
 from tridensity.bernstein import SplineSpec
 from tridensity.geometry import Triangulation, barycentric
 from tridensity.quadrature import conical_rule, integrate_domain
@@ -147,6 +147,18 @@ def test_nullspace_zero_rows():
     basis, rank = nullspace(sparse.csr_matrix((0, 5)))
     assert rank == 0
     assert np.allclose(basis, np.eye(5))
+
+
+@pytest.mark.parametrize("h", [np.zeros((0, 4)), np.zeros((3, 4)), sparse.csr_matrix((3, 4))])
+def test_nullspace_of_a_matrix_with_no_nonzero_entry(h, monkeypatch):
+    """Is the identity, without an SVD."""
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the SVD ran")
+
+    monkeypatch.setattr(spline_space.linalg, "svd", no_svd)
+    basis, rank = nullspace(h)
+    assert rank == 0
+    assert np.array_equal(basis, np.eye(4))
 
 
 def test_nullspace_random_property(rng):
