@@ -31,7 +31,7 @@ _EXPORTS = {
     ),
     "geometry": ("MeshQuality", "Triangulation", "barycentric", "load_mesh", "mesh_quality"),
     "model_selection": ("DEFAULT_LAMBDA_GRID", "CvReport", "fold_assignments", "select_lambda"),
-    "quadrature": ("QuadRule", "conical_rule", "integrate_domain", "rule_9"),
+    "quadrature": ("QuadRule", "conical_rule", "rule_9"),
     "simbench": (
         "KernelDensity", "MiseResult", "Scenario", "get_scenario", "mise", "run_benchmark",
         "sample", "scenario_sim1", "scenario_sim2", "scenario_sim3",

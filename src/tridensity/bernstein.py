@@ -168,7 +168,7 @@ def evaluation_matrix(tr, spec, points):
     inside = t_idx >= 0
     dim = spec.per_triangle_dim
     t_in = t_idx[inside]
-    basis = evaluate(spec.degree, barycentric(tr.triangle_coords(t_in), pts[inside]))
+    basis = evaluate(spec.degree, barycentric(tr.corners[t_in], pts[inside]))
     # each inside row holds its triangle's dim columns, in ascending order
     indptr = np.concatenate([[0], np.cumsum(inside * dim)])
     indices = (t_in[:, None] * dim + np.arange(dim)).ravel()

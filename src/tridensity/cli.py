@@ -172,12 +172,9 @@ def _load_data(args, tr):
     inside = tr.locate(pts) >= 0
     n_dropped = int((~inside).sum())
     if n_dropped and not args.drop_outside:
-        rows = np.where(~inside)[0].tolist()
+        outside = PointOutsideDomain(np.flatnonzero(~inside).tolist())
         raise ValidationError(
-            f"{args.data}: {n_dropped} points outside the domain at rows {rows[:10]}"
-            + ("" if n_dropped <= 10 else f" (+{n_dropped - 10} more)")
-            + "; use --drop-outside to ignore them"
-        )
+            f"{args.data}: {n_dropped} {outside}; use --drop-outside to ignore them")
     if n_dropped == len(pts):
         raise ValidationError("no data points remain inside the domain")
     return pts[inside], n_dropped
@@ -211,8 +208,12 @@ def _write_atomic(path, text):
         raise
 
 
+def _json_text(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _write_json(path, obj):
-    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    _write_atomic(path, _json_text(obj))
 
 
 def _finite_or_null(value):
@@ -221,21 +222,32 @@ def _finite_or_null(value):
     return value if np.isfinite(value) else None
 
 
-def _grid_csv(tr, resolution, values_fn):
+def _cv_fields(report):
+    """The fields of a CvReport that fit and cv both write."""
+    return {
+        "lambda_grid": report.lambda_grid,
+        "cv_errors": [_finite_or_null(e) for e in report.cv_errors],
+        "best_lambda": report.best_lambda,
+        "folds": report.folds,
+        "seed": report.seed,
+    }
+
+
+def _grid_csv(tr, resolution, density):
     """Density grid CSV text: cell centers of the bounding box, row-major in
-    x then y; out-of-domain cells carry density 0 and in_domain 0. Raises
-    NonFiniteDensity, naming how many, if an in-domain cell is not finite."""
+    x then y, with density(centers) in the domain; out-of-domain cells
+    carry density 0 and in_domain 0. Raises NonFiniteDensity, naming how
+    many, if an in-domain cell is not finite."""
     pts, _ = cell_grid(tr, resolution)
-    values, inside = values_fn(pts)
-    values, inside = np.asarray(values, dtype=float), np.asarray(inside, dtype=bool)
+    values, inside = np.asarray(density(pts), dtype=float), tr.locate(pts) >= 0
     n_bad = int(np.count_nonzero(~np.isfinite(values[inside])))
     if n_bad:
         raise NonFiniteDensity(
             f"{n_bad} of {int(inside.sum())} in-domain cells of the {resolution}x{resolution} "
             f"density grid are not finite"
         )
-    columns = (pts[:, 0].tolist(), pts[:, 1].tolist(), values.tolist(),
-               inside.astype(int).tolist())
+    columns = (pts[:, 0].tolist(), pts[:, 1].tolist(),
+               np.where(inside, values, 0.0).tolist(), inside.astype(int).tolist())
     lines = ["x,y,density,in_domain"]
     lines.extend(f"{x!r},{y!r},{v!r},{flag}" for x, y, v, flag in zip(*columns))
     return "\n".join(lines) + "\n"
@@ -276,19 +288,11 @@ def cmd_fit(args):
         model_selection.fold_assignments(len(pts), args.folds, args.seed)
 
     space = estimator.ModelSpace(tr, spec)
-    cv_block = None
     if args.lambda_grid is not None:
         report = model_selection.select_lambda(
             tr, pts, spec, grid, folds=args.folds, seed=args.seed, space=space,
         )
         config = estimator.FitConfig(spec=spec, lam=report.best_lambda)
-        cv_block = {
-            "lambda_grid": report.lambda_grid,
-            "cv_errors": [_finite_or_null(e) for e in report.cv_errors],
-            "best_lambda": report.best_lambda,
-            "folds": report.folds,
-            "seed": report.seed,
-        }
 
     failure = None
     try:
@@ -314,15 +318,15 @@ def cmd_fit(args):
             "family": "symmetric-three-orbit",
         },
     }
-    if cv_block is not None:
-        report_obj["cv"] = cv_block
+    if args.lambda_grid is not None:
+        report_obj["cv"] = _cv_fields(report)
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "fit_report.json"), report_obj)
     _write_atomic(os.path.join(args.out, "coefficients.csv"),
                   _coefficients_csv(tr, spec, f.gamma))
     if args.grid:
         _write_atomic(os.path.join(args.out, "density_grid.csv"),
-                      _grid_csv(tr, args.grid, f.density))
+                      _grid_csv(tr, args.grid, lambda pts: f.density(pts)[0]))
     if failure is not None:
         raise failure
     return EXIT_OK
@@ -410,7 +414,7 @@ def cmd_density(args):
     gamma = _read_coefficients(coeff_path, tr, spec)
     if args.grid < 1:
         raise ValidationError("--grid must be at least 1")
-    fn = lambda pts: estimator.density_from_gamma(tr, spec, gamma, pts)
+    fn = lambda pts: estimator.density_from_gamma(tr, spec, gamma, pts)[0]
     _write_atomic(args.out, _grid_csv(tr, args.grid, fn))
     return EXIT_OK
 
@@ -428,11 +432,7 @@ def cmd_cv(args):
     )
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION,
-        "lambda_grid": report.lambda_grid,
-        "cv_errors": [_finite_or_null(e) for e in report.cv_errors],
-        "best_lambda": report.best_lambda,
-        "folds": report.folds,
-        "seed": report.seed,
+        **_cv_fields(report),
         "fold_assignments": report.fold_assignments.tolist(),
         "failed_folds": report.failed_folds,
         "n_points": int(len(pts)),
@@ -489,14 +489,12 @@ def cmd_simulate(args):
     if args.emit_grids:
         scenario = simbench.get_scenario(args.scenario)
         tr = scenario.domain
-        truth = lambda pts: (scenario.density(pts), tr.locate(pts) >= 0)
-        _write_atomic(stem + "_true_density.csv", _grid_csv(tr, args.grid, truth))
+        _write_atomic(stem + "_true_density.csv", _grid_csv(tr, args.grid, scenario.density))
         for r in results:  # replication 0 of the run above
             est = r.estimates[0]
             if isinstance(est, Exception):
                 continue
-            fn = est.density if hasattr(est, "density") else (
-                lambda pts: (est(pts), tr.locate(pts) >= 0))
+            fn = (lambda pts: est.density(pts)[0]) if hasattr(est, "density") else est
             _write_atomic(f"{stem}_{r.method}_density.csv", _grid_csv(tr, args.grid, fn))
     return EXIT_OK
 
@@ -514,7 +512,7 @@ def cmd_mesh_info(args):
         "beta_ratio": q.beta_ratio,
         "min_angle_deg": q.min_angle_deg,
     }
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = _json_text(obj)
     sys.stdout.write(text)
     if args.out:
         _write_atomic(args.out, text)

@@ -27,13 +27,11 @@ class PointOutsideDomain(TriDensityError):
     Carries ``indices``, the offending positions in the input point array.
     """
 
-    def __init__(self, indices, message=None):
+    def __init__(self, indices):
         self.indices = list(indices)
-        if message is None:
-            shown = ", ".join(str(i) for i in self.indices[:10])
-            more = "" if len(self.indices) <= 10 else f" (+{len(self.indices) - 10} more)"
-            message = f"points outside the domain at rows [{shown}]{more}"
-        super().__init__(message)
+        shown = ", ".join(str(i) for i in self.indices[:10])
+        more = "" if len(self.indices) <= 10 else f" (+{len(self.indices) - 10} more)"
+        super().__init__(f"points outside the domain at rows [{shown}]{more}")
 
 
 class UnsupportedSmoothness(TriDensityError):
@@ -41,7 +39,7 @@ class UnsupportedSmoothness(TriDensityError):
 
 
 class NonFiniteIntegrand(TriDensityError):
-    """The integrand produced NaN or Inf at a quadrature node."""
+    """An integral came out NaN or Inf: run_benchmark's MISE of a replication."""
 
 
 class SingularSystem(TriDensityError):

@@ -55,7 +55,8 @@ class Triangulation:
     vertices : (V, 2) array of finite vertex coordinates.
     triangles : (N, 3) integer array of vertex indices. Triangles are
         reordered counterclockwise on construction; input orientation is
-        not preserved.
+        not preserved. The read-only (N, 3, 2) array ``corners`` holds
+        ``vertices[triangles]`` in that order.
 
     Raises
     ------
@@ -92,6 +93,7 @@ class Triangulation:
         triangles = triangles.copy()
         clockwise = signed < 0
         triangles[clockwise] = triangles[clockwise][:, [0, 2, 1]]
+        corners[clockwise] = corners[clockwise][:, [0, 2, 1]]
         repeats = np.flatnonzero(np.any(np.diff(np.sort(triangles, axis=1)) == 0, axis=1))
         if repeats.size:
             raise DegenerateTriangle(f"triangle {repeats[0]} repeats a vertex index")
@@ -107,8 +109,8 @@ class Triangulation:
 
         self.triangles = triangles
         self.triangles.setflags(write=False)
-        corners = vertices[triangles]
-        self._corners = corners
+        self.corners = corners
+        self.corners.setflags(write=False)
 
         # Affine maps for barycentric coordinates: b12 = M (p - v3).
         t11 = corners[:, 0, 0] - corners[:, 2, 0]
@@ -117,7 +119,6 @@ class Triangulation:
         t22 = corners[:, 1, 1] - corners[:, 2, 1]
         det = t11 * t22 - t12 * t21
         self._inv_maps = np.moveaxis(np.array([[t22, -t12], [-t21, t11]]) / det, -1, 0)
-        self._v3 = corners[:, 2]
 
         self._buckets = _BucketGrid(self)  # point location and the T-junction scan
         triangle_edges = self._build_edges()
@@ -139,11 +140,6 @@ class Triangulation:
             float(self.vertices[:, 1].min()),
             float(self.vertices[:, 1].max()),
         )
-
-    def triangle_coords(self, t):
-        """Corner coordinates of triangle t as a (3, 2) array, or of an
-        index array of n triangles as an (n, 3, 2) array."""
-        return self._corners[t]
 
     def _build_edges(self):
         """edges (E, 2): vertex pairs, ascending, in lexicographic order;
@@ -268,9 +264,8 @@ class _BucketGrid:
 
         # cell ranges of the padded triangle boxes, with the same floor as
         # cells_of so that a point inside a box lands in one of its cells
-        corners = tr._corners
-        lo = self._floor(corners.min(axis=1) - pad).clip(0, self.side - 1).astype(np.int64)
-        hi = self._floor(corners.max(axis=1) + pad).clip(0, self.side - 1).astype(np.int64)
+        lo = self._floor(tr.corners.min(axis=1) - pad).clip(0, self.side - 1).astype(np.int64)
+        hi = self._floor(tr.corners.max(axis=1) + pad).clip(0, self.side - 1).astype(np.int64)
         span = hi - lo + 1  # (N, 2) cells per axis
         counts = span[:, 0] * span[:, 1]
         tri = np.repeat(np.arange(tr.n_triangles), counts)
@@ -289,7 +284,7 @@ class _BucketGrid:
         self.inv_maps = np.full((self.side * self.side, width, 2, 2), np.nan)
         self.inv_maps[cell, slot] = tr._inv_maps[tri]
         self.v3 = np.zeros((self.side * self.side, width, 2))
-        self.v3[cell, slot] = tr._v3[tri]
+        self.v3[cell, slot] = tr.corners[tri, 2]
 
     def _floor(self, xy):
         return np.floor((xy - self.origin) / self.cell_size)
@@ -380,6 +375,9 @@ def _read_csv_table(source, expected_header, cast):
             if len(row) < len(expected_header):
                 raise MeshError(f"{name}: line {lineno}: expected {len(expected_header)} "
                                 f"fields, got {len(row)}")
+            if len(row) > len(header):
+                raise MeshError(f"{name}: line {lineno}: {len(row)} fields, more than the "
+                                f"{len(header)} of the header")
             try:
                 rows.append([cast(x) for x in row[: len(expected_header)]])
             except ValueError as exc:
@@ -394,17 +392,14 @@ def _read_csv_table(source, expected_header, cast):
 
 def mesh_quality(tr):
     """Compute the MeshQuality audit of a triangulation."""
-    corners = tr.vertices[tr.triangles]
-    e0 = np.linalg.norm(corners[:, 1] - corners[:, 0], axis=1)
-    e1 = np.linalg.norm(corners[:, 2] - corners[:, 1], axis=1)
-    e2 = np.linalg.norm(corners[:, 0] - corners[:, 2], axis=1)
-    edges = np.stack([e0, e1, e2], axis=1)
+    corners = tr.corners
+    edges = np.linalg.norm(corners[:, [1, 2, 0]] - corners, axis=2)  # edge k leaves corner k
     mesh_size = float(edges.max())
     semi = edges.sum(axis=1) / 2.0
     inradius = tr.areas / semi
     min_inradius = float(inradius.min())
     # law of cosines per corner angle
-    a, b, c = e1, e2, e0  # opposite side lengths for corners 0, 1, 2
+    c, a, b = edges.T  # a, b, c: the sides opposite corners 0, 1, 2
     angles = []
     for opp, s1, s2 in ((a, b, c), (b, c, a), (c, a, b)):
         cosv = np.clip((s1 ** 2 + s2 ** 2 - opp ** 2) / (2 * s1 * s2), -1.0, 1.0)

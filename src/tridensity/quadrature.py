@@ -1,17 +1,16 @@
-"""Fixed quadrature rules on triangles and whole-domain integration.
+"""Fixed quadrature rules on triangles and their nodes over a whole domain.
 
 Rules store barycentric nodes and per-node weights relative to triangle
 area, so a triangle's integral is area * sum(w * f(node)). Weights of
-every rule sum to one. integrate_domain is the one integrator; a single
-triangle is a one-triangle Triangulation.
+every rule sum to one. domain_nodes places a rule on every triangle, so
+a domain integral is weights @ f(points); a single triangle is a
+one-triangle Triangulation.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .errors import NonFiniteIntegrand
 
 
 @dataclass(frozen=True)
@@ -88,19 +87,7 @@ def domain_nodes(tr, rule):
     t*n .. (t+1)*n - 1 belong to triangle t.
     """
     n_q = len(rule.weights)
-    points = (rule.nodes @ tr.vertices[tr.triangles]).reshape(-1, 2)
+    points = (rule.nodes @ tr.corners).reshape(-1, 2)
     weights = np.repeat(tr.areas, n_q) * np.tile(rule.weights, tr.n_triangles)
     return points, weights
 
-
-def integrate_domain(f, tr, rule):
-    """Integrate f over the whole triangulated domain."""
-    points, weights = domain_nodes(tr, rule)
-    vals = np.asarray(f(points), dtype=float)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise NonFiniteIntegrand(
-            f"integrand is not finite at a quadrature node of triangle "
-            f"{bad[0] // len(rule.weights)}"
-        )
-    return float(weights @ vals)

@@ -466,7 +466,7 @@ def check_methods(methods):
 
 
 def replication_estimators(scenario, n, rep_seed, methods=METHODS,
-                           spec=None, lambda_grid=model_selection.DEFAULT_LAMBDA_GRID,
+                           spec=SplineSpec(3, 1), lambda_grid=model_selection.DEFAULT_LAMBDA_GRID,
                            folds=10, space=None):
     """Sample one replication and fit every requested method on it.
 
@@ -478,7 +478,6 @@ def replication_estimators(scenario, n, rep_seed, methods=METHODS,
     CV runs its folds as select_lambda does.
     """
     methods = check_methods(methods)
-    spec = spec or SplineSpec(3, 1)
     if space is not None:
         space.check(scenario.domain, spec)
     data = sample(scenario, n, rep_seed)
@@ -519,7 +518,7 @@ class MiseResult:
 
 
 def run_benchmark(scenario, n, reps, methods=METHODS, seed=0,
-                  spec=None, lambda_grid=model_selection.DEFAULT_LAMBDA_GRID,
+                  spec=SplineSpec(3, 1), lambda_grid=model_selection.DEFAULT_LAMBDA_GRID,
                   folds=10, mise_resolution=100):
     """Sample, fit and score each method over independent replications.
 
@@ -543,7 +542,6 @@ def run_benchmark(scenario, n, reps, methods=METHODS, seed=0,
     lambda_grid = model_selection.check_lambda_grid(lambda_grid)
     _check_resolution(mise_resolution)
     scenario = get_scenario(scenario) if isinstance(scenario, str) else scenario
-    spec = spec or SplineSpec(3, 1)
     space = estimator.ModelSpace(scenario.domain, spec) if "bpst" in methods else None
 
     rows = []

@@ -7,8 +7,6 @@ The roughness of a coefficient vector is a quadratic form whose matrix is
 block diagonal over triangles.
 """
 
-from functools import lru_cache
-
 import numpy as np
 from scipy import linalg, sparse
 
@@ -66,7 +64,6 @@ def smoothness_matrix(tr, spec):
     )
 
 
-@lru_cache(maxsize=None)
 def _edge_template(m, r):
     """The entries of one shared edge's rows, which depend on (m, r) only.
 
@@ -85,9 +82,7 @@ def _edge_template(m, r):
                         for p, (nu, mu, ka) in enumerate(bernstein.index_set(rho))]
             entries.append((1, rho, j, k, -1, n_rows))
             n_rows += 1
-    template = np.array(entries)
-    template.setflags(write=False)  # shared by every caller through the cache
-    return template
+    return np.array(entries)
 
 
 def nullspace(h):
@@ -125,8 +120,7 @@ def penalty_matrix(tr, spec):
     needed = 2 * (m - 2)
     rule = rule_9() if needed <= 5 else conical_rule(needed)
     w = rule.weights[:, None]
-    corners = tr.triangle_coords(np.arange(tr.n_triangles))
-    dxx, dxy, dyy = (bernstein.derivative(m, corners, orders, rule.nodes)
+    dxx, dxy, dyy = (bernstein.derivative(m, tr.corners, orders, rule.nodes)
                      for orders in ((2, 0), (1, 1), (0, 2)))  # (N, nodes, dim) each
     weighted = lambda d: (d * w).transpose(0, 2, 1)
     blocks = tr.areas[:, None, None] * (

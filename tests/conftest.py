@@ -6,6 +6,7 @@ import pytest
 
 from tridensity.bernstein import evaluate, index_set
 from tridensity.geometry import Triangulation
+from tridensity.quadrature import domain_nodes
 
 
 def grid_mesh(xmin, xmax, ymin, ymax, nx, ny):
@@ -40,6 +41,17 @@ SHORT_ROWS = [
                  "line 4: expected 2 fields, got 1", id="vertices"),
     pytest.param("triangles", "v1,v2,v3\n0,1\n2,0\n2,3\n",
                  "line 2: expected 3 fields, got 2", id="triangles"),
+]
+
+# The same for rows longer than the header. Truncated to the header's
+# width, the first case would read as the points (1, 2) and (4, 5).
+LONG_ROWS = [
+    pytest.param("points", "x,y\n1,2,3\n4,5\n",
+                 "line 2: 3 fields, more than the 2 of the header", id="long-points"),
+    pytest.param("vertices", "x,y\n0,0\n1,0\n1,1,7\n0,1\n",
+                 "line 4: 3 fields, more than the 2 of the header", id="long-vertices"),
+    pytest.param("triangles", "v1,v2,v3\n0,1,2,3\n0,2,3\n",
+                 "line 2: 4 fields, more than the 3 of the header", id="long-triangles"),
 ]
 
 
@@ -77,9 +89,15 @@ def interpolate(tr, spec, fn):
     (n, 2) array to n values; needs m >= 1."""
     m = spec.degree
     bary = np.array(index_set(m), dtype=float) / m
-    points = bary @ tr.vertices[tr.triangles]  # (N, dim, 2)
+    points = bary @ tr.corners  # (N, dim, 2)
     values = np.asarray(fn(points.reshape(-1, 2)), dtype=float).reshape(tr.n_triangles, -1)
     return np.linalg.solve(evaluate(m, bary), values.T).T.ravel()
+
+
+def integrate_domain(f, tr, rule):
+    """f integrated over the whole mesh with rule on every triangle."""
+    points, weights = domain_nodes(tr, rule)
+    return float(weights @ f(points))
 
 
 def random_interior_bary(rng, n):

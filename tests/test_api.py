@@ -21,13 +21,14 @@ def test_exported_names_resolve_and_exclude_modules():
                  "roughness", "dump_coo", "ConstraintSystem", "build_constraints",
                  "initial_histogram", "initial_lss", "InitialDensity", "vertex_neighborhood",
                  "EnvelopeViolated", "integrate_triangle", "fold_error", "EvalMatrix",
-                 "interpolate_function", "domain_points", "rule_12", "make_workspace"):
+                 "interpolate_function", "domain_points", "rule_12", "make_workspace",
+                 "integrate_domain", "triangle_coords"):
         assert gone not in tridensity.__all__
         assert not hasattr(tridensity, gone)
 
 
 def test_exported_names_are_their_modules_objects():
-    assert len(tridensity.__all__) == 52
+    assert len(tridensity.__all__) == 51
     for name in tridensity.__all__:
         module = importlib.import_module(f"tridensity.{tridensity._ORIGIN[name]}")
         assert getattr(tridensity, name) is getattr(module, name), name
@@ -89,8 +90,13 @@ def test_removed_helpers_and_options_stay_gone():
                          (bernstein, "_collocation_solver"), (quadrature, "rule_12"),
                          (quadrature, "_orbit6"), (estimator, "make_workspace"),
                          (model_selection, "_check_threads"),
-                         (simbench, "_normalize_over_domain")):
+                         (simbench, "_normalize_over_domain"), (quadrature, "integrate_domain"),
+                         (mesh, "triangle_coords"), (mesh, "_corners"), (mesh, "_v3"),
+                         (spline_space._edge_template, "cache_info")):
         assert not hasattr(module, name), name
+    assert list(inspect.signature(errors.PointOutsideDomain).parameters) == ["indices"]
+    for fn in (simbench.replication_estimators, simbench.run_benchmark):
+        assert inspect.signature(fn).parameters["spec"].default == bernstein.SplineSpec(3, 1)
     space = estimator.ModelSpace(mesh, estimator.FitConfig().spec)
     for gone in ("constraints", "penalty", "quad_points"):
         assert not hasattr(space, gone), gone

@@ -10,7 +10,7 @@ from tridensity import cli, estimator, model_selection, simbench
 from tridensity.bernstein import SplineSpec
 from tridensity.errors import SingularBandwidth
 
-from conftest import SHORT_ROWS, cli_command, starve_newton, write_square_csvs
+from conftest import LONG_ROWS, SHORT_ROWS, cli_command, starve_newton, write_square_csvs
 
 
 def write_points(path, pts):
@@ -88,6 +88,17 @@ def test_fit_outside_point_exit2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert "rows [1]" in err["message"]
     assert not (tmp_path / "f" / "fit_report.json").exists()
+
+
+def test_outside_points_message(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    write_points(data, [[0.5, 0.5]] + [[2.0 + i, 0.5] for i in range(12)] + [[0.25, 0.25]])
+    err = _rejected(tmp_path, capsys, [
+        "cv", "--bundled-mesh", "square_unit_32", "--data", str(data),
+    ], "ValidationError")
+    assert err["message"] == (
+        f"{data}: 12 points outside the domain at rows [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"
+        " (+2 more); use --drop-outside to ignore them")
 
 
 def test_fit_drop_outside(tmp_path, rng):
@@ -259,7 +270,7 @@ def test_bundled_mesh_conflicts_with_mesh_files(tmp_path, capsys):
     assert err["message"] == "--bundled-mesh conflicts with mesh file flags"
 
 
-@pytest.mark.parametrize("which, text, where", SHORT_ROWS)
+@pytest.mark.parametrize("which, text, where", SHORT_ROWS + LONG_ROWS)
 def test_short_csv_row_exit2(tmp_path, capsys, which, text, where):
     paths = write_square_csvs(tmp_path, **{which: text})
     err = _rejected(tmp_path, capsys, [
@@ -698,6 +709,19 @@ def test_simulate_emit_grids(tmp_path):
         assert len(lines) == 1 + 50 * 50
 
 
+def test_simulate_grids_are_zero_outside_the_domain(tmp_path):
+    out = tmp_path / "sim.json"
+    assert cli.main([
+        "simulate", "--scenario", "sim2", "--n", "600", "--reps", "1", "--seed", "1",
+        "--grid", "50", "--folds", "5", "--emit-grids", "--out", str(out),
+    ]) == 0
+    for name in ("sim_true_density.csv", "sim_bpst_density.csv", "sim_kde_density.csv"):
+        rows = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+        outside = rows[:, 3] == 0
+        assert outside.sum() > 0 and np.all(rows[outside, 2] == 0), name
+        assert np.any(rows[~outside, 2] > 0), name
+
+
 def test_simulate_emit_grids_fits_replication_0_once(tmp_path, monkeypatch):
     calls = {"space": 0, "select_lambda": 0, "select_kde_bandwidth": 0}
 
@@ -726,8 +750,8 @@ def test_simulate_emit_grids_fits_replication_0_once(tmp_path, monkeypatch):
     fresh = simbench.replication_estimators(scen, 60, 4, ("bpst", "kde"),
                                             spec=SplineSpec(3, 1), folds=5)
     expected = {
-        "bpst": cli._grid_csv(tr, 50, fresh["bpst"].density),
-        "kde": cli._grid_csv(tr, 50, lambda pts: (fresh["kde"](pts), tr.locate(pts) >= 0)),
+        "bpst": cli._grid_csv(tr, 50, lambda pts: fresh["bpst"].density(pts)[0]),
+        "kde": cli._grid_csv(tr, 50, fresh["kde"]),
     }
     for method, text in expected.items():
         assert (tmp_path / f"sim_{method}_density.csv").read_text() == text

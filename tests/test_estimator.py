@@ -182,7 +182,7 @@ def bundled_seed_points(tr, branch, rng):
     mids = tr.vertices[tr.edges[shared]].mean(axis=1)
     n_random = tr.n_triangles * (1 if branch == "lss" else int(estimator.LSS_THRESHOLD))
     t = rng.integers(tr.n_triangles, size=n_random)
-    inner = np.einsum("nk,nkd->nd", random_interior_bary(rng, n_random), tr.triangle_coords(t))
+    inner = np.einsum("nk,nkd->nd", random_interior_bary(rng, n_random), tr.corners[t])
     pts = np.vstack([tr.vertices, mids, inner])
     assert (len(pts) / tr.n_triangles < estimator.LSS_THRESHOLD) == (branch == "lss")
     return rng.permutation(pts)
@@ -709,3 +709,29 @@ def test_model_space_calls_the_traced_names(unit32, monkeypatch):
         space = ModelSpace(unit32, SplineSpec(3, 1))
         assert counts == dict.fromkeys(counts, n_spaces)
     assert space.n_free == space.basis.shape[1] > 0
+
+
+@pytest.mark.parametrize("lam", [1e-5, 1e-3, 1e-1])
+@pytest.mark.parametrize("case", ["square_unit_32", "horseshoe_112"])
+def test_repeating_the_sample_gives_its_fit(unit32_space, horseshoe_space, case, lam):
+    """The likelihood term is a mean over the points, so the sample listed
+    twice has the sample's objective. With n >= LSS_THRESHOLD * N both fits
+    seed from the histogram, and the seed is identical; the data mean is
+    summed in another order, so Newton's stop rule may end the two fits a
+    rounding apart, and the bound is not 0."""
+    if case == "square_unit_32":
+        space, pts = unit32_space, uniform_points(200, seed=3)
+    else:
+        from tridensity.simbench import get_scenario, sample
+
+        space, pts = horseshoe_space, sample(get_scenario("sim2"), 600, 1)
+    tr = space.tr
+    twice = np.vstack([pts, pts])
+    assert len(pts) >= estimator.LSS_THRESHOLD * tr.n_triangles
+    assert np.array_equal(estimator.seed_theta(space, tr.locate(pts)),
+                          estimator.seed_theta(space, tr.locate(twice)))
+    cfg = FitConfig(spec=space.spec, lam=lam)
+    once, _ = fit(tr, pts, cfg, space=space).density(tr.vertices)
+    double, _ = fit(tr, twice, cfg, space=space).density(tr.vertices)
+    assert np.all(once > 0)
+    assert np.abs(double / once - 1).max() <= 1e-7

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tridensity import geometry
+from tridensity.assets import BUNDLED_MESHES, load_bundled_mesh
 from tridensity.errors import (
     DegenerateTriangle,
     IndexOutOfRange,
@@ -21,7 +22,7 @@ from tridensity.geometry import (
     mesh_quality,
 )
 
-from conftest import SHORT_ROWS, grid_mesh, random_triangle, write_square_csvs
+from conftest import LONG_ROWS, SHORT_ROWS, grid_mesh, random_triangle, write_square_csvs
 
 
 def test_load_mesh_square(tmp_path):
@@ -45,7 +46,7 @@ def test_load_mesh_bad_index(tmp_path):
         load_mesh(vp, tp)
 
 
-@pytest.mark.parametrize("which, text, where", SHORT_ROWS)
+@pytest.mark.parametrize("which, text, where", SHORT_ROWS + LONG_ROWS)
 def test_short_row_names_its_file_and_line(tmp_path, which, text, where):
     paths = write_square_csvs(tmp_path, **{which: text})
     with pytest.raises(MeshError, match=f"^{re.escape(f'{paths[which]}: {where}')}$"):
@@ -53,6 +54,28 @@ def test_short_row_names_its_file_and_line(tmp_path, which, text, where):
             load_points(paths["points"])
         else:
             load_mesh(paths["vertices"], paths["triangles"])
+
+
+def test_extra_header_columns_are_read_past():
+    pts = load_points(io.StringIO("x,y,weight\n1,2,3\n4,5\n"))
+    assert pts.tolist() == [[1.0, 2.0], [4.0, 5.0]]
+
+
+@pytest.mark.parametrize("name", BUNDLED_MESHES)
+def test_corners_are_the_counterclockwise_gather(name):
+    tr = load_bundled_mesh(name)
+    assert not tr.corners.flags.writeable
+    assert tr.corners.shape == (tr.n_triangles, 3, 2)
+    assert np.array_equal(tr.corners, tr.vertices[tr.triangles])
+    d1 = tr.corners[:, 1] - tr.corners[:, 0]
+    d2 = tr.corners[:, 2] - tr.corners[:, 0]
+    assert np.all(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0)
+
+
+def test_corners_of_clockwise_input_are_swapped():
+    verts = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    tr = Triangulation(verts, [[0, 2, 1], [0, 2, 3]])  # the first is clockwise
+    assert tr.corners.tolist() == [[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]]
 
 
 @pytest.mark.parametrize("vertices, triangles, message", [
@@ -146,8 +169,8 @@ def test_locate_then_barycentric_consistent(unit32, rng):
     idx = unit32.locate(pts)
     assert np.all(idx >= 0)
     for p, t in zip(pts, idx):
-        assert barycentric(unit32.triangle_coords(t), p[None]).min() >= -geometry.TOL_LOCATE
-    bary = barycentric(unit32.triangle_coords(idx), pts)  # one triangle per point
+        assert barycentric(unit32.corners[t], p[None]).min() >= -geometry.TOL_LOCATE
+    bary = barycentric(unit32.corners[idx], pts)  # one triangle per point
     assert bary.shape == (200, 3) and bary.min() >= -geometry.TOL_LOCATE
 
 
@@ -159,7 +182,7 @@ def _scan_locate(tr, points, tol=geometry.TOL_LOCATE):
     chunk = max(1, int(2_000_000 // max(1, tr.n_triangles)))
     for lo in range(0, len(pts), chunk):
         p = pts[lo:lo + chunk]
-        rel = p[None, :, :] - tr._v3[:, None, :]  # (N, n, 2)
+        rel = p[None, :, :] - tr.corners[:, None, 2]  # (N, n, 2)
         b1 = tr._inv_maps[:, None, 0, 0] * rel[:, :, 0] + tr._inv_maps[:, None, 0, 1] * rel[:, :, 1]
         b2 = tr._inv_maps[:, None, 1, 0] * rel[:, :, 0] + tr._inv_maps[:, None, 1, 1] * rel[:, :, 1]
         b3 = 1.0 - b1 - b2

@@ -556,3 +556,16 @@ def test_default_grid_shape():
     assert len(DEFAULT_LAMBDA_GRID) == 9
     assert DEFAULT_LAMBDA_GRID[0] == pytest.approx(1e-6)
     assert DEFAULT_LAMBDA_GRID[-1] == pytest.approx(1.0)
+
+
+def test_leave_one_out_folds(unit32):
+    """folds == n: each fold holds out one point and fits the other n - 1;
+    all 9 x 12 fits of the default grid succeed."""
+    pts = np.random.default_rng(2).random((12, 2))
+    report = select_lambda(unit32, pts, SplineSpec(3, 1), DEFAULT_LAMBDA_GRID, folds=12, seed=0)
+    assert sorted(report.fold_assignments.tolist()) == list(range(12))
+    assert report.fold_errors.shape == (12, len(DEFAULT_LAMBDA_GRID))
+    assert np.all(np.isfinite(report.fold_errors))
+    assert report.failed_folds == [[] for _ in DEFAULT_LAMBDA_GRID]
+    assert report.fold_failures == []
+    assert report.best_lambda in DEFAULT_LAMBDA_GRID

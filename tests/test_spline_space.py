@@ -5,19 +5,19 @@ from scipy import sparse
 from tridensity import bernstein, spline_space
 from tridensity.bernstein import SplineSpec
 from tridensity.geometry import Triangulation, barycentric
-from tridensity.quadrature import conical_rule, integrate_domain
+from tridensity.quadrature import conical_rule
 from tridensity.spline_space import nullspace, penalty_matrix, smoothness_matrix
 
-from conftest import grid_mesh, interpolate
+from conftest import grid_mesh, integrate_domain, interpolate
 
 
 def piece_value(tr, spec, gamma, t, pts, orders=(0, 0)):
     """Evaluate one triangle's polynomial piece (or derivative) anywhere."""
-    bary = barycentric(tr.triangle_coords(t), pts)
+    bary = barycentric(tr.corners[t], pts)
     if orders == (0, 0):
         basis = bernstein.evaluate(spec.degree, bary)
     else:
-        basis = bernstein.derivative(spec.degree, tr.triangle_coords(t), orders, bary)
+        basis = bernstein.derivative(spec.degree, tr.corners[t], orders, bary)
     dim = spec.per_triangle_dim
     return basis @ gamma[t * dim:(t + 1) * dim]
 
