@@ -238,8 +238,8 @@ def _grid_csv(tr, resolution, density):
     x then y, with density(centers) in the domain; out-of-domain cells
     carry density 0 and in_domain 0. Raises NonFiniteDensity, naming how
     many, if an in-domain cell is not finite."""
-    pts, _ = cell_grid(tr, resolution)
-    values, inside = np.asarray(density(pts), dtype=float), tr.locate(pts) >= 0
+    pts, inside, _ = cell_grid(tr, resolution)
+    values = np.asarray(density(pts), dtype=float)
     n_bad = int(np.count_nonzero(~np.isfinite(values[inside])))
     if n_bad:
         raise NonFiniteDensity(

@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import DegenerateTriangle, IndexOutOfRange, MeshError, NonConforming
 
-# Barycentric slack used by point location. Points whose smallest barycentric
-# coordinate is >= -TOL_LOCATE count as inside; edge/vertex ties go to the
-# lowest-indexed triangle.
+# Barycentric slack used by point location and the mesh's vertex scan.
+# Points whose smallest barycentric coordinate is >= -TOL_LOCATE count as
+# inside; edge/vertex ties go to the lowest-indexed triangle.
 TOL_LOCATE = 1e-10
 
 # Pad of each triangle's bounding box in the point-location grid, relative
@@ -26,7 +26,7 @@ TOL_LOCATE = 1e-10
 # its diameter; the pad leaves three orders of magnitude above that.
 _BUCKET_PAD = 1e4 * TOL_LOCATE
 
-# About this many grid cells per triangle; locate and the T-junction scan
+# About this many grid cells per triangle; locate and the vertex scan
 # work in chunks of _LOCATE_CHUNK points to bound their temporaries.
 _CELLS_PER_TRIANGLE = 8
 _LOCATE_CHUNK = 5000
@@ -113,16 +113,11 @@ class Triangulation:
         self.corners.setflags(write=False)
 
         # Affine maps for barycentric coordinates: b12 = M (p - v3).
-        t11 = corners[:, 0, 0] - corners[:, 2, 0]
-        t12 = corners[:, 1, 0] - corners[:, 2, 0]
-        t21 = corners[:, 0, 1] - corners[:, 2, 1]
-        t22 = corners[:, 1, 1] - corners[:, 2, 1]
-        det = t11 * t22 - t12 * t21
+        t11, t12, t21, t22, det = _affine(corners)
         self._inv_maps = np.moveaxis(np.array([[t22, -t12], [-t21, t11]]) / det, -1, 0)
 
-        self._buckets = _BucketGrid(self)  # point location and the T-junction scan
-        triangle_edges = self._build_edges()
-        self._check_t_junctions(triangle_edges, 1e-12 * math.sqrt(scale2))
+        self._buckets = _BucketGrid(self)  # point location and the vertex scan
+        self._check_vertices(self._build_edges())
 
     @property
     def n_triangles(self):
@@ -176,34 +171,33 @@ class Triangulation:
         self.edge_triangles.setflags(write=False)
         return inverse.reshape(-1, 3)
 
-    def _check_t_junctions(self, triangle_edges, tol):
-        """No used vertex may sit strictly inside an edge (T-junction),
-        within distance tol of it. Such a vertex lies in the padded box of
-        every triangle on the edge, so it is tested only against the edges
-        of the triangles its bucket-grid cell lists. Reports the first such
-        edge, with its lowest vertex."""
+    def _check_vertices(self, triangle_edges):
+        """No used vertex may lie in a triangle it is not a corner of: its
+        barycentric coordinates there all >= -TOL_LOCATE, as in locate, and
+        the second smallest > TOL_LOCATE, so a vertex on top of a corner
+        with another label passes. With the smallest <= TOL_LOCATE the
+        vertex sits inside the edge opposite that corner (a T-junction).
+        Reports the first such edge, with its lowest vertex; else the
+        lowest vertex inside a triangle, with its lowest triangle."""
         used = np.unique(self.triangles)
-        grid = self._buckets
         hits = []
         for lo in range(0, len(used), _LOCATE_CHUNK):
             chunk = used[lo:lo + _LOCATE_CHUNK]
-            rows, cells = grid.cells_of(self.vertices[chunk])
-            candidates = grid.triangles[cells]  # (n, K), -1 padded
-            listed = candidates >= 0
-            v = np.broadcast_to(chunk[rows][:, None], candidates.shape)[listed]
-            e = triangle_edges[candidates[listed]]  # (pairs, 3)
-            v, e = np.repeat(v, 3), e.ravel()
-            pa, pb = self.vertices[self.edges[e, 0]], self.vertices[self.edges[e, 1]]
-            d = pb - pa
-            L2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-            rel = self.vertices[v] - pa
-            cross = rel[:, 0] * d[:, 1] - rel[:, 1] * d[:, 0]
-            proj = (rel[:, 0] * d[:, 0] + rel[:, 1] * d[:, 1]) / L2
-            inside = (np.abs(cross) <= tol * np.sqrt(L2)) & (proj > 1e-12) & (proj < 1 - 1e-12)
-            hits.append(np.column_stack([e[inside], v[inside]]))
+            rows, cells, b = self._buckets.candidates(self.vertices[chunk])
+            b, t = np.stack(b, axis=2), self._buckets.triangles[cells]  # NaN, -1 padded
+            v = np.broadcast_to(chunk[rows][:, None], t.shape)
+            low = np.sort(b, axis=2)
+            lies = ((low[..., 0] >= -TOL_LOCATE) & (low[..., 1] > TOL_LOCATE)
+                    & ~np.any(self.triangles[t] == v[..., None], axis=2))
+            # edge k of a triangle runs from corner k, so corner j faces edge j + 1
+            e = np.where(low[..., 0] <= TOL_LOCATE,
+                         triangle_edges[t, (b.argmin(axis=2) + 1) % 3], -1)[lies]
+            hits.append(np.column_stack([e < 0, e, v[lies], t[lies]]))
         hits = np.concatenate(hits)
         if len(hits):
-            e, v = hits[np.lexsort(hits.T[::-1])[0]].tolist()  # first edge, lowest vertex
+            inner, e, v, t = hits[np.lexsort(hits.T[::-1])[0]].tolist()
+            if inner:
+                raise NonConforming(f"vertex {v} lies inside triangle {t}")
             a, b = self.edges[e].tolist()
             raise NonConforming(
                 f"vertex {v} lies inside edge ({a}, {b}) of triangles "
@@ -228,16 +222,7 @@ class Triangulation:
         grid = self._buckets
         found = np.full(len(pts), -1, dtype=np.int64)
         for lo in range(0, len(pts), _LOCATE_CHUNK):
-            p = pts[lo:lo + _LOCATE_CHUNK]
-            rows, cells = grid.cells_of(p)
-            q = p[rows]
-            inv = grid.inv_maps[cells]  # (m, K, 2, 2)
-            v3 = grid.v3[cells]  # (m, K, 2)
-            r0 = q[:, 0, None] - v3[:, :, 0]
-            r1 = q[:, 1, None] - v3[:, :, 1]
-            b1 = inv[:, :, 0, 0] * r0 + inv[:, :, 0, 1] * r1
-            b2 = inv[:, :, 1, 0] * r0 + inv[:, :, 1, 1] * r1
-            b3 = 1.0 - b1 - b2
+            rows, cells, (b1, b2, b3) = grid.candidates(pts[lo:lo + _LOCATE_CHUNK])
             inside = (b1 >= -TOL_LOCATE) & (b2 >= -TOL_LOCATE) & (b3 >= -TOL_LOCATE)
             first = inside.argmax(axis=1)  # first True = lowest triangle index
             hit = inside[np.arange(len(rows)), first]
@@ -263,7 +248,7 @@ class _BucketGrid:
         self.cell_size = np.array([xmax - xmin + 2 * pad, ymax - ymin + 2 * pad]) / self.side
 
         # cell ranges of the padded triangle boxes, with the same floor as
-        # cells_of so that a point inside a box lands in one of its cells
+        # candidates so that a point inside a box lands in one of its cells
         lo = self._floor(tr.corners.min(axis=1) - pad).clip(0, self.side - 1).astype(np.int64)
         hi = self._floor(tr.corners.max(axis=1) + pad).clip(0, self.side - 1).astype(np.int64)
         span = hi - lo + 1  # (N, 2) cells per axis
@@ -289,27 +274,49 @@ class _BucketGrid:
     def _floor(self, xy):
         return np.floor((xy - self.origin) / self.cell_size)
 
-    def cells_of(self, points):
-        """Rows of points inside the grid (finite ones only) and their
-        flat cell indices."""
+    def candidates(self, points):
+        """Rows of the (n, 2) points inside the grid (finite ones only),
+        their flat cell indices, and the barycentric coordinates
+        (b1, b2, b3), each (rows, K), of each point in its cell's
+        candidates, NaN in the padding."""
         with np.errstate(over="ignore", invalid="ignore"):  # huge or inf rows
             f = self._floor(points)
         ok = np.all((f >= 0) & (f < self.side), axis=1)  # NaN compares False
         rows = np.nonzero(ok)[0]
         ij = f[rows].astype(np.int64)
-        return rows, ij[:, 0] * self.side + ij[:, 1]
+        cells = ij[:, 0] * self.side + ij[:, 1]
+        q = points[rows]
+        inv = self.inv_maps[cells]  # (rows, K, 2, 2)
+        v3 = self.v3[cells]  # (rows, K, 2)
+        r0 = q[:, 0, None] - v3[:, :, 0]
+        r1 = q[:, 1, None] - v3[:, :, 1]
+        b1 = inv[:, :, 0, 0] * r0 + inv[:, :, 0, 1] * r1
+        b2 = inv[:, :, 1, 0] * r0 + inv[:, :, 1, 1] * r1
+        return rows, cells, (b1, b2, 1.0 - b1 - b2)
 
 
 def cell_grid(tr, resolution):
     """Cell centers of a resolution x resolution grid over the bounding box,
-    row-major in x then y, and the area of one cell."""
+    row-major in x then y, which of them lie in the domain, and the area
+    of one cell."""
     xmin, xmax, ymin, ymax = tr.bounding_box()
     dx = (xmax - xmin) / resolution
     dy = (ymax - ymin) / resolution
     xs = xmin + dx * (np.arange(resolution) + 0.5)
     ys = ymin + dy * (np.arange(resolution) + 0.5)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel()]), dx * dy
+    centers = np.column_stack([gx.ravel(), gy.ravel()])
+    return centers, tr.locate(centers) >= 0, dx * dy
+
+
+def _affine(c):
+    """Entries t11, t12, t21, t22 and determinant of T, the linear map with
+    p - v3 = T (b1, b2), for triangles of (..., 3, 2) corners c."""
+    t11 = c[..., 0, 0] - c[..., 2, 0]
+    t12 = c[..., 1, 0] - c[..., 2, 0]
+    t21 = c[..., 0, 1] - c[..., 2, 1]
+    t22 = c[..., 1, 1] - c[..., 2, 1]
+    return t11, t12, t21, t22, t11 * t22 - t12 * t21
 
 
 def barycentric(tri_coords, points):
@@ -323,11 +330,7 @@ def barycentric(tri_coords, points):
     """
     c = np.asarray(tri_coords, dtype=float)
     pts = np.asarray(points, dtype=float)
-    t11 = c[..., 0, 0] - c[..., 2, 0]
-    t12 = c[..., 1, 0] - c[..., 2, 0]
-    t21 = c[..., 0, 1] - c[..., 2, 1]
-    t22 = c[..., 1, 1] - c[..., 2, 1]
-    det = t11 * t22 - t12 * t21
+    t11, t12, t21, t22, det = _affine(c)
     rel = pts - c[..., 2, :]
     b1 = (t22 * rel[:, 0] - t12 * rel[:, 1]) / det
     b2 = (-t21 * rel[:, 0] + t11 * rel[:, 1]) / det

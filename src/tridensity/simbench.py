@@ -110,15 +110,9 @@ def horseshoe_function(points):
     return a + d ** 2
 
 
-@lru_cache(maxsize=32)
-def _domain_grid(tr, resolution):
-    """Cell centers, in-domain mask and cell area of a bbox grid.
-
-    Cached per mesh object: benchmark replications rescore on identical
-    grids, and meshes are immutable after construction.
-    """
-    centers, cell = cell_grid(tr, resolution)
-    return centers, tr.locate(centers) >= 0, cell
+# Cached per mesh object: benchmark replications rescore on identical
+# grids, and meshes are immutable after construction.
+_domain_grid = lru_cache(maxsize=32)(cell_grid)
 
 
 def _scenario(name, tr, raw, components=()):

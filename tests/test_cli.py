@@ -281,6 +281,18 @@ def test_short_csv_row_exit2(tmp_path, capsys, which, text, where):
     assert err["message"] == f"{paths[which]}: {where}"
 
 
+def test_overlap_through_a_vertex_exit2(tmp_path, capsys):
+    """Two triangles that overlap without sharing an edge: mesh-info and
+    fit exit 2 and write nothing."""
+    paths = write_square_csvs(tmp_path, vertices="x,y\n0,0\n2,0\n0,2\n0.5,0.5\n3,0.5\n0.5,3\n",
+                              triangles="v1,v2,v3\n0,1,2\n3,4,5\n")
+    mesh = ["--mesh-vertices", str(paths["vertices"]), "--mesh-triangles", str(paths["triangles"])]
+    for argv in (["mesh-info", *mesh],
+                 ["fit", *mesh, "--data", str(paths["points"]), "--lambda", "1e-3"]):
+        err = _rejected(tmp_path, capsys, argv, "NonConforming")
+        assert err["message"] == "vertex 3 lies inside triangle 0"
+
+
 def test_fit_header_only_data_exit2(tmp_path, capsys):
     data = tmp_path / "header_only.csv"
     data.write_text("x,y\n")

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tridensity import geometry
 from tridensity.assets import BUNDLED_MESHES, load_bundled_mesh
@@ -92,6 +93,60 @@ def test_overlapping_triangles_rejected():
     # both triangles sit on the same side of their shared edge
     with pytest.raises(NonConforming):
         Triangulation([[0, 0], [1, 0], [1, 1], [0.8, 0.9]], [[0, 1, 2], [0, 1, 3]])
+
+
+@pytest.mark.parametrize("vertices", [
+    [[0, 0], [2, 0], [0, 2], [0.5, 0.5], [3, 0.5], [0.5, 3]],  # edges cross
+    [[0, 0], [4, 0], [0, 4], [1, 1], [2, 1], [1, 2]],  # triangle 1 nested in 0
+])
+def test_overlap_through_a_vertex_rejected(vertices):
+    # the triangles share no edge; vertex 3 lies inside triangle 0
+    with pytest.raises(NonConforming, match=r"^vertex 3 lies inside triangle 0$"):
+        Triangulation(vertices, [[0, 1, 2], [3, 4, 5]])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), pick=st.integers(0, 10 ** 6),
+       weights=st.tuples(*[st.floats(0.05, 1.0)] * 3))
+def test_vertex_moved_into_another_triangle_rejected(seed, pick, weights):
+    """A random Delaunay mesh loads; moved strictly inside a triangle that
+    does not use it, one interior vertex makes the mesh non-conforming."""
+    from scipy.spatial import Delaunay
+
+    pts = np.random.default_rng(seed).random((30, 2))
+    mesh = Delaunay(pts)
+    simplices = mesh.simplices
+    Triangulation(pts, simplices)
+    interior = np.setdiff1d(np.arange(len(pts)), mesh.convex_hull)
+    v = interior[pick % len(interior)]
+    away = np.flatnonzero(~np.any(simplices == v, axis=1))
+    t = away[pick // len(interior) % len(away)]
+    moved = pts.copy()
+    moved[v] = np.array(weights) / sum(weights) @ pts[simplices[t]]
+    with pytest.raises(NonConforming):
+        Triangulation(moved, simplices)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), pick=st.integers(0, 10 ** 6),
+       weights=st.tuples(*[st.floats(0.05, 1.0)] * 3), angle=st.floats(0.0, 2 * math.pi))
+def test_triangle_with_a_corner_inside_another_rejected(seed, pick, weights, angle):
+    """A thin triangle added to a random Delaunay mesh, with corner 30
+    strictly inside a mesh triangle and the other two outside the unit
+    square, shares no edge with the mesh: only the vertex scan sees the
+    overlap. (Moving a vertex, above, also flips one of its own triangles,
+    which the directed-edge check reports first.)"""
+    from scipy.spatial import Delaunay
+
+    pts = np.random.default_rng(seed).random((30, 2))
+    simplices = Delaunay(pts).simplices
+    t = pick % len(simplices)
+    corner = np.array(weights) / sum(weights) @ pts[simplices[t]]
+    d = np.array([math.cos(angle), math.sin(angle)])
+    across = 1e-6 * np.array([-d[1], d[0]])
+    verts = np.vstack([pts, corner, corner + 3 * d + across, corner + 3 * d - across])
+    with pytest.raises(NonConforming, match=f"^vertex 30 lies inside triangle {t}$"):
+        Triangulation(verts, np.vstack([simplices, [30, 31, 32]]))
 
 
 def test_t_junction_rejected():

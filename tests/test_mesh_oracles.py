@@ -294,10 +294,12 @@ def _parent_check_t_junctions(tr, tol):
 
 
 class _ScanTriangulation(Triangulation):
-    """A Triangulation whose T-junction check is the old scan."""
+    """A Triangulation whose vertex scan is the old T-junction scan, with
+    its tolerance of 1e-12 times the bounding-box diagonal."""
 
-    def _check_t_junctions(self, triangle_edges, tol):
-        _parent_check_t_junctions(self, tol)
+    def _check_vertices(self, triangle_edges):
+        xmin, xmax, ymin, ymax = self.bounding_box()
+        _parent_check_t_junctions(self, 1e-12 * math.hypot(xmax - xmin, ymax - ymin))
 
 
 def _parent_evaluation_matrix(tr, parent, spec, points, allow_outside=False):
@@ -457,6 +459,20 @@ def _hanging_vertex_mesh(seed):
     new_verts = np.empty((len(verts), 2))
     new_verts[perm] = verts
     return new_verts, perm[np.array(tris)][rng.permutation(len(tris))]
+
+
+def test_scan_override_replaces_the_vertex_scan():
+    """_ScanTriangulation overrides the hook the constructor calls, with
+    its signature, so the parity test below compares two scans: a vertex
+    inside another triangle, which only the new scan sees, loads."""
+    import inspect
+
+    hook = vars(Triangulation)["_check_vertices"]
+    assert inspect.signature(_ScanTriangulation._check_vertices) == inspect.signature(hook)
+    verts, tris = [[0, 0], [2, 0], [0, 2], [0.5, 0.5], [3, 0.5], [0.5, 3]], [[0, 1, 2], [3, 4, 5]]
+    assert _ScanTriangulation(verts, tris).area == 5.125
+    with pytest.raises(NonConforming, match=r"^vertex 3 lies inside triangle 0$"):
+        Triangulation(verts, tris)
 
 
 @pytest.mark.parametrize("seed", range(20))

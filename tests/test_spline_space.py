@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 
 from tridensity import bernstein, spline_space
+from tridensity.assets import load_bundled_mesh
 from tridensity.bernstein import SplineSpec
 from tridensity.geometry import Triangulation, barycentric
 from tridensity.quadrature import conical_rule
@@ -261,3 +262,25 @@ def test_null_dimension_invariant_to_reindexing(rng):
     tr_perm = Triangulation(tr.vertices, tr.triangles[perm])
     spec = SplineSpec(3, 1)
     assert smooth_basis(tr, spec).shape[1] == smooth_basis(tr_perm, spec).shape[1]
+
+
+@pytest.mark.parametrize("m, r", [(3, 1), (5, 2)])
+@pytest.mark.parametrize("name", ["square_unit_32", "square_sim1_50", "horseshoe_112"])
+def test_design_row_same_from_either_triangle_of_a_shared_edge(name, m, r):
+    """At a point of an edge shared by two triangles, at fractions 0, 0.3,
+    0.5 and 1 along it (so its end vertices too), the reduced design row
+    evaluate(m, barycentric(corners[t], p)) @ basis block t is the same
+    from either triangle: locate's lowest-index tie rule cannot change a
+    fit. Only edges whose two triangles share the vertex labels count, so
+    the horseshoe cap seam, joined by coincident vertex pairs, is left out."""
+    tr = load_bundled_mesh(name)
+    spec = SplineSpec(m, r)
+    basis = smooth_basis(tr, spec)
+    blocks = basis.reshape(tr.n_triangles, spec.per_triangle_dim, -1)
+    shared = tr.edge_triangles[:, 1] >= 0
+    ends = tr.vertices[tr.edges[shared]]
+    for f in (0.0, 0.3, 0.5, 1.0):
+        pts = ends[:, 0] * (1 - f) + ends[:, 1] * f
+        lo, hi = (np.einsum("nd,ndk->nk", bernstein.evaluate(m, barycentric(tr.corners[t], pts)),
+                            blocks[t]) for t in tr.edge_triangles[shared].T)
+        assert np.all(np.abs(lo - hi) <= 1e-12 * np.abs(lo).max(axis=1, keepdims=True))
