@@ -26,8 +26,7 @@ _EXPORTS = {
         "SingularBandwidth", "SingularSystem", "TriDensityError", "UnsupportedSmoothness",
     ),
     "estimator": (
-        "DensityFit", "FitConfig", "ModelSpace", "density_from_gamma", "fit", "gradient",
-        "hessian", "init_theta", "objective",
+        "DensityFit", "FitConfig", "ModelSpace", "density_from_gamma", "fit",
     ),
     "geometry": ("MeshQuality", "Triangulation", "barycentric", "load_mesh", "mesh_quality"),
     "model_selection": ("DEFAULT_LAMBDA_GRID", "CvReport", "fold_assignments", "select_lambda"),

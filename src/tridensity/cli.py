@@ -279,20 +279,14 @@ def cmd_fit(args):
 
     if args.lam is None and args.lambda_grid is None:
         raise ValidationError("one of --lambda or --lambda-grid is required")
-    # every weight and the folds of a CV are checked before the space (an
-    # SVD) is built
     if args.lambda_grid is None:
-        config = estimator.FitConfig(spec=spec, lam=args.lam)
+        config, space = estimator.FitConfig(spec=spec, lam=args.lam), None
     else:
-        grid = model_selection.check_lambda_grid(_parse_lambda_grid(args.lambda_grid))
-        model_selection.fold_assignments(len(pts), args.folds, args.seed)
-
-    space = estimator.ModelSpace(tr, spec)
-    if args.lambda_grid is not None:
         report = model_selection.select_lambda(
-            tr, pts, spec, grid, folds=args.folds, seed=args.seed, space=space,
+            tr, pts, spec, _parse_lambda_grid(args.lambda_grid),
+            folds=args.folds, seed=args.seed,
         )
-        config = estimator.FitConfig(spec=spec, lam=report.best_lambda)
+        config, space = estimator.FitConfig(spec=spec, lam=report.best_lambda), report.space
 
     failure = None
     try:
@@ -313,8 +307,8 @@ def cmd_fit(args):
         "n_points": int(len(pts)),
         "n_dropped": n_dropped,
         "quadrature": {
-            "nodes": int(len(space.rule.weights)),
-            "exactness": int(space.rule.exactness),
+            "nodes": int(len(f.space.rule.weights)),
+            "exactness": int(f.space.rule.exactness),
             "family": "symmetric-three-orbit",
         },
     }
@@ -449,10 +443,10 @@ def cmd_simulate(args):
     if args.scenario not in simbench.SCENARIOS:
         names = ", ".join(sorted(simbench.SCENARIOS))
         raise ValidationError(f"unknown scenario {args.scenario!r}; choose from {names}")
-    methods = simbench.check_methods(tok for tok in args.methods.split(",") if tok)
     spec = SplineSpec(args.m, args.r)
     results = simbench.run_benchmark(
-        args.scenario, args.n, args.reps, methods=methods, seed=args.seed,
+        args.scenario, args.n, args.reps, seed=args.seed,
+        methods=[tok for tok in args.methods.split(",") if tok],
         spec=spec, folds=args.folds, mise_resolution=args.grid,
     )
     _write_json(args.out, {

@@ -118,6 +118,7 @@ class Triangulation:
 
         self._buckets = _BucketGrid(self)  # point location and the vertex scan
         self._check_vertices(self._build_edges())
+        self._check_crossings()
 
     @property
     def n_triangles(self):
@@ -203,6 +204,43 @@ class Triangulation:
                 f"vertex {v} lies inside edge ({a}, {b}) of triangles "
                 f"{[t for t in self.edge_triangles[e].tolist() if t >= 0]}"
             )
+
+    def _check_crossings(self):
+        """No two boundary edges that share no vertex label may cross. With
+        no directed edge twice and no vertex in a foreign triangle, an
+        overlap can only make the boundary cross itself. A crossing counts
+        only where each end of either edge spans with the other a signed
+        area (doubled) beyond TOL_LOCATE times the product of their
+        lengths, so corners that coincide under different labels never
+        count. Reports the first crossing pair in edge order."""
+        ids = np.flatnonzero(self.edge_triangles[:, 1] < 0)
+        seg = self.vertices[self.edges[ids]]  # (B, 2 ends, 2)
+        # pairs whose extents overlap along the longer side, swept in order
+        axis = int(np.argmax(np.ptp(self.vertices, axis=0)))
+        lo, hi = seg[:, :, axis].min(axis=1), seg[:, :, axis].max(axis=1)
+        order = np.argsort(lo, kind="stable")
+        ids, seg, lo, hi = ids[order], seg[order], lo[order], hi[order]
+        counts = np.searchsorted(lo, hi, side="right") - np.arange(len(ids)) - 1
+        i = np.repeat(np.arange(len(ids)), counts)
+        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+        (a, b), (c, d) = self.edges[ids[i]].T, self.edges[ids[j]].T
+        disjoint = (a != c) & (a != d) & (b != c) & (b != d)
+        i, j = i[disjoint], j[disjoint]
+        p, q, r, s = seg[i, 0], seg[i, 1], seg[j, 0], seg[j, 1]
+
+        def area2(o, u, v):  # twice the signed area of each (o, u, v)
+            (ux, uy), (vx, vy) = (u - o).T, (v - o).T
+            return ux * vy - uy * vx
+
+        o = np.stack([area2(p, q, r), area2(p, q, s), area2(r, s, p), area2(r, s, q)])
+        margin = TOL_LOCATE * np.linalg.norm(q - p, axis=1) * np.linalg.norm(s - r, axis=1)
+        cross = np.all(np.abs(o) > margin, axis=0) & (o[0] * o[1] < 0) & (o[2] * o[3] < 0)
+        if cross.any():
+            pairs = np.sort(np.column_stack([ids[i[cross]], ids[j[cross]]]), axis=1)
+            e, f = pairs[np.lexsort(pairs.T[::-1])[0]].tolist()
+            tris = sorted([int(self.edge_triangles[e, 0]), int(self.edge_triangles[f, 0])])
+            raise NonConforming(f"triangles {tris} overlap: edges {tuple(self.edges[e].tolist())} "
+                                f"and {tuple(self.edges[f].tolist())} cross")
 
     def locate(self, points):
         """Find the triangle containing each point.
@@ -401,13 +439,10 @@ def mesh_quality(tr):
     semi = edges.sum(axis=1) / 2.0
     inradius = tr.areas / semi
     min_inradius = float(inradius.min())
-    # law of cosines per corner angle
-    c, a, b = edges.T  # a, b, c: the sides opposite corners 0, 1, 2
-    angles = []
-    for opp, s1, s2 in ((a, b, c), (b, c, a), (c, a, b)):
-        cosv = np.clip((s1 ** 2 + s2 ** 2 - opp ** 2) / (2 * s1 * s2), -1.0, 1.0)
-        angles.append(np.degrees(np.arccos(cosv)))
-    min_angle = float(np.min(np.stack(angles)))
+    # law of cosines at corner k: opposite side k + 1, adjacent sides k + 2 and k
+    opp, prev = edges[:, [1, 2, 0]], edges[:, [2, 0, 1]]
+    cosv = np.clip((prev ** 2 + edges ** 2 - opp ** 2) / (2 * prev * edges), -1.0, 1.0)
+    min_angle = float(np.degrees(np.arccos(cosv)).min())
     return MeshQuality(
         mesh_size=mesh_size,
         min_inradius=min_inradius,

@@ -69,6 +69,7 @@ class CvReport:
     # best_lambda is the smallest or largest grid value, so the grid may
     # not bracket the minimum
     lambda_at_grid_edge: bool = False
+    space: ModelSpace = None  # the space every fold fitted on; refit on it
 
 
 def pick_best(lambda_grid, cv_errors):
@@ -140,9 +141,11 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
     grid cell where every fold failed reports +inf and is never selected;
     if the whole grid is +inf, AllFoldsFailed is raised, naming the first
     cause. An empty grid, a negative or non-finite weight in it, points not
-    of shape (n, 2), or a space that does not match tr and spec raises
-    ValueError before any fit, and points outside the mesh raise
-    PointOutsideDomain naming their rows.
+    of shape (n, 2), folds outside 2..n, or a space that does not match tr
+    and spec raises ValueError before any fit, and all but the last before
+    a space is built; points outside the mesh raise PointOutsideDomain
+    naming their rows. The report's space is the given one, or the one
+    built here: refit the best weight on it.
 
     The folds run in min(folds, usable CPUs) forked worker processes, so
     the CPU set (os.sched_getaffinity, which taskset limits) is the one
@@ -221,4 +224,5 @@ def select_lambda(tr, points, spec, lambda_grid=DEFAULT_LAMBDA_GRID, folds=10,
         failed_folds=failed,
         fold_failures=fold_failures,
         lambda_at_grid_edge=lambda_grid[best_idx] in (min(lambda_grid), max(lambda_grid)),
+        space=space,
     )

@@ -479,14 +479,12 @@ def replication_estimators(scenario, n, rep_seed, methods=METHODS,
     for method in methods:
         try:
             if method == "bpst":
-                if space is None:
-                    space = estimator.ModelSpace(scenario.domain, spec)
                 report = model_selection.select_lambda(
                     scenario.domain, data, spec, lambda_grid,
                     folds=folds, seed=rep_seed, space=space,
                 )
                 cfg = estimator.FitConfig(spec=spec, lam=report.best_lambda)
-                out[method] = estimator.fit(scenario.domain, data, cfg, space=space)
+                out[method] = estimator.fit(scenario.domain, data, cfg, space=report.space)
             else:
                 bw, _ = select_kde_bandwidth(
                     data, scenario.domain, folds=folds, seed=rep_seed

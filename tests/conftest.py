@@ -24,6 +24,18 @@ def grid_mesh(xmin, xmax, ymin, ymax, nx, ny):
     return Triangulation(np.array(verts, float), np.array(tris))
 
 
+# (vertices, triangles, message): two triangles that overlap with no vertex
+# of either inside the other, so only their boundary edges cross
+OVERLAPS_NO_VERTEX_ENTERS = [
+    pytest.param([[0, 0], [2, 0], [1, 1.732], [0, 1.155], [2, 1.155], [1, -0.577]],
+                 [[0, 1, 2], [3, 5, 4]],
+                 "triangles [0, 1] overlap: edges (0, 1) and (3, 5) cross", id="hexagram"),
+    pytest.param([[0, -0.1], [10, 0], [0, 0.1], [5, -10], [5.1, 10], [4.9, 10]],
+                 [[0, 1, 2], [3, 4, 5]],
+                 "triangles [0, 1] overlap: edges (0, 1) and (3, 4) cross", id="crossing_slivers"),
+]
+
+
 # The unit square as CSV files, and one data point inside it
 SQUARE_CSV = {"vertices": "x,y\n0,0\n1,0\n1,1\n0,1\n",
               "triangles": "v1,v2,v3\n0,1,2\n0,2,3\n",

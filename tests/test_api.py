@@ -22,13 +22,14 @@ def test_exported_names_resolve_and_exclude_modules():
                  "initial_histogram", "initial_lss", "InitialDensity", "vertex_neighborhood",
                  "EnvelopeViolated", "integrate_triangle", "fold_error", "EvalMatrix",
                  "interpolate_function", "domain_points", "rule_12", "make_workspace",
-                 "integrate_domain", "triangle_coords"):
+                 "integrate_domain", "triangle_coords", "objective", "gradient", "hessian",
+                 "init_theta"):
         assert gone not in tridensity.__all__
         assert not hasattr(tridensity, gone)
 
 
 def test_exported_names_are_their_modules_objects():
-    assert len(tridensity.__all__) == 51
+    assert len(tridensity.__all__) == 47
     for name in tridensity.__all__:
         module = importlib.import_module(f"tridensity.{tridensity._ORIGIN[name]}")
         assert getattr(tridensity, name) is getattr(module, name), name
@@ -143,3 +144,49 @@ def test_removed_helpers_and_options_stay_gone():
                      "--seed", "--grid", "--emit-grids", "--out"],
         "mesh-info": [*mesh_flags, "--out"],
     }
+
+
+def test_source_has_no_unused_import_or_unreferenced_private_name():
+    """Every name a module of src/tridensity imports is read in that module,
+    and every module-level private name is read somewhere in src/: a name
+    only ever bound is dead code."""
+    import ast
+    import glob
+
+    trees = {path: ast.parse(open(path).read())
+             for path in sorted(glob.glob(os.path.join(SRC, "tridensity", "*.py")))}
+
+    def reads(tree):
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        return names
+
+    read_anywhere = set().union(*map(reads, trees.values()))
+    dead = []
+    for path, tree in trees.items():
+        module = os.path.basename(path)
+        read_here = {node.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read_here:
+                        dead.append(f"{module}: import {bound}")
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [f"{module}: {name}" for name in bound if name.startswith("_")
+                     and not name.startswith("__") and name not in read_anywhere]
+    assert dead == []

@@ -10,7 +10,8 @@ from tridensity import cli, estimator, model_selection, simbench
 from tridensity.bernstein import SplineSpec
 from tridensity.errors import SingularBandwidth
 
-from conftest import LONG_ROWS, SHORT_ROWS, cli_command, starve_newton, write_square_csvs
+from conftest import (LONG_ROWS, OVERLAPS_NO_VERTEX_ENTERS, SHORT_ROWS, cli_command, starve_newton,
+                      write_square_csvs)
 
 
 def write_points(path, pts):
@@ -291,6 +292,20 @@ def test_overlap_through_a_vertex_exit2(tmp_path, capsys):
                  ["fit", *mesh, "--data", str(paths["points"]), "--lambda", "1e-3"]):
         err = _rejected(tmp_path, capsys, argv, "NonConforming")
         assert err["message"] == "vertex 3 lies inside triangle 0"
+
+
+@pytest.mark.parametrize("vertices, triangles, message", OVERLAPS_NO_VERTEX_ENTERS)
+def test_overlap_that_no_vertex_enters_exit2(tmp_path, capsys, vertices, triangles, message):
+    """Two triangles whose edges cross with no vertex of either inside the
+    other: mesh-info and fit exit 2 and write nothing."""
+    paths = write_square_csvs(
+        tmp_path, vertices="".join(f"{x},{y}\n" for x, y in [["x", "y"], *vertices]),
+        triangles="".join(f"{a},{b},{c}\n" for a, b, c in [["v1", "v2", "v3"], *triangles]))
+    mesh = ["--mesh-vertices", str(paths["vertices"]), "--mesh-triangles", str(paths["triangles"])]
+    for argv in (["mesh-info", *mesh],
+                 ["fit", *mesh, "--data", str(paths["points"]), "--lambda", "1e-3"]):
+        err = _rejected(tmp_path, capsys, argv, "NonConforming")
+        assert err["message"] == message
 
 
 def test_fit_header_only_data_exit2(tmp_path, capsys):

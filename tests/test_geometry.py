@@ -23,7 +23,8 @@ from tridensity.geometry import (
     mesh_quality,
 )
 
-from conftest import LONG_ROWS, SHORT_ROWS, grid_mesh, random_triangle, write_square_csvs
+from conftest import (LONG_ROWS, OVERLAPS_NO_VERTEX_ENTERS, SHORT_ROWS, grid_mesh, random_triangle,
+                      write_square_csvs)
 
 
 def test_load_mesh_square(tmp_path):
@@ -103,6 +104,21 @@ def test_overlap_through_a_vertex_rejected(vertices):
     # the triangles share no edge; vertex 3 lies inside triangle 0
     with pytest.raises(NonConforming, match=r"^vertex 3 lies inside triangle 0$"):
         Triangulation(vertices, [[0, 1, 2], [3, 4, 5]])
+
+
+@pytest.mark.parametrize("vertices, triangles, message", OVERLAPS_NO_VERTEX_ENTERS)
+def test_overlap_that_no_vertex_enters_rejected(vertices, triangles, message):
+    with pytest.raises(NonConforming, match=f"^{re.escape(message)}$"):
+        Triangulation(vertices, triangles)
+
+
+def test_corners_coinciding_under_two_labels_do_not_cross():
+    """Vertex 3 sits one rounding step left of vertex 1, as on the
+    horseshoe seams: its edge (3, 5) crosses edge (1, 2) by 1.1e-16, inside
+    the crossing margin, so the two triangles still load."""
+    tr = Triangulation([[0, 0], [1, 0], [0, 1], [1 - 2 ** -53, 0], [2, 0], [1.5, 1]],
+                       [[0, 1, 2], [3, 4, 5]])
+    assert tr.area == 1.0
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

@@ -463,14 +463,14 @@ def _hanging_vertex_mesh(seed):
 
 def test_scan_override_replaces_the_vertex_scan():
     """_ScanTriangulation overrides the hook the constructor calls, with
-    its signature, so the parity test below compares two scans: a vertex
-    inside another triangle, which only the new scan sees, loads."""
+    its signature, so the parity test below compares two scans: a triangle
+    nested inside another, which only the new scan sees, loads."""
     import inspect
 
     hook = vars(Triangulation)["_check_vertices"]
     assert inspect.signature(_ScanTriangulation._check_vertices) == inspect.signature(hook)
-    verts, tris = [[0, 0], [2, 0], [0, 2], [0.5, 0.5], [3, 0.5], [0.5, 3]], [[0, 1, 2], [3, 4, 5]]
-    assert _ScanTriangulation(verts, tris).area == 5.125
+    verts, tris = [[0, 0], [4, 0], [0, 4], [1, 1], [2, 1], [1, 2]], [[0, 1, 2], [3, 4, 5]]
+    assert _ScanTriangulation(verts, tris).area == 8.5
     with pytest.raises(NonConforming, match=r"^vertex 3 lies inside triangle 0$"):
         Triangulation(verts, tris)
 

@@ -146,6 +146,21 @@ def test_select_lambda_rejects_space_of_other_mesh_or_spec(unit32, square2, rng)
     assert np.isfinite(report.cv_errors[0])
 
 
+def test_report_space_is_the_given_or_the_built_one(unit32, rng):
+    """The report carries the space its folds fitted on: the given object,
+    or the one select_lambda built, on which the refit is the fit that
+    builds its own."""
+    pts, spec = rng.random((60, 2)), SplineSpec(3, 1)
+    space = ModelSpace(unit32, spec)
+    assert select_lambda(unit32, pts, spec, [1e-3], folds=4, space=space).space is space
+    report = select_lambda(unit32, pts, spec, [1e-3], folds=4)
+    assert isinstance(report.space, ModelSpace) and report.space is not space
+    assert report.space.check(unit32, spec) is report.space
+    cfg = estimator.FitConfig(spec=spec, lam=report.best_lambda)
+    refit = estimator.fit(unit32, pts, cfg, space=report.space)
+    assert np.array_equal(refit.gamma, estimator.fit(unit32, pts, cfg).gamma)
+
+
 def test_cv_error_deterministic(unit32, rng):
     pts = rng.random((80, 2))
     spec = SplineSpec(3, 1)
