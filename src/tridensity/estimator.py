@@ -42,12 +42,11 @@ ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 
 
-# Newton stops after MAX_ITERS iterations, or once max|gradient| is at most
-# GRAD_TOL, an accepted step moves no coefficient by more than STEP_TOL, or
-# a step lowers the objective by at most OBJ_TOL.
+# Newton converges once max|gradient| is at most GRAD_TOL, or once an
+# accepted step lowers the objective by at most OBJ_TOL (the rounding floor
+# of the objective); it gives up after MAX_ITERS steps.
 MAX_ITERS = 100
 GRAD_TOL = 1e-8
-STEP_TOL = 1e-12
 OBJ_TOL = 1e-12
 
 
@@ -323,11 +322,13 @@ def newton(work, theta0):
 
     Newton directions with an Armijo backtracking line search; a Hessian
     factorization failure falls back to a plain gradient step for that
-    iteration. The penalty weight is work.lam; the iteration limit and
-    tolerances are the module constants MAX_ITERS, GRAD_TOL, STEP_TOL and
-    OBJ_TOL. Raises DidNotConverge (carrying the last iterate and objective
-    trace) if the iteration limit is reached or the line search stalls
-    first; its message names which, with the iterations used and the final
+    iteration. The penalty weight is work.lam. Each pass tests the
+    gradient once: newton has converged when max|gradient| is at most
+    GRAD_TOL, or when the step it accepts lowers the objective by at most
+    OBJ_TOL. The fit's iterations are its accepted steps. Raises
+    DidNotConverge (carrying the last iterate and objective trace) if
+    MAX_ITERS steps do not converge or the line search stalls first; its
+    message names which, with the iterations used and the final
     max|gradient|.
     """
     space = work.space
@@ -338,15 +339,13 @@ def newton(work, theta0):
         theta = np.zeros_like(theta)
         obj = objective(theta, work)
     trace = [obj]
-    converged = False
-    iterations = 0
     cause = f"iteration limit (max_iters={MAX_ITERS}) reached"
 
-    for iterations in range(1, MAX_ITERS + 1):
+    for iterations in range(MAX_ITERS + 1):
         grad = gradient(theta, work)
-        if np.abs(grad).max() <= GRAD_TOL:
-            converged = True
-            iterations -= 1
+        grad_max = float(np.abs(grad).max())
+        converged = grad_max <= GRAD_TOL
+        if converged or iterations == MAX_ITERS:
             break
         # potrf('U') reads only the triangle that dsyrk wrote
         try:
@@ -361,27 +360,22 @@ def newton(work, theta0):
             direction = -grad
             slope = float(grad @ direction)
         alpha = 1.0
-        new_theta, new_obj = theta, obj
         while alpha > 1e-20:
             cand = theta + alpha * direction
             cand_obj = objective(cand, work)
             if cand_obj <= obj + ARMIJO_C * alpha * slope:
-                new_theta, new_obj = cand, cand_obj
                 break
             alpha *= ARMIJO_SHRINK
         else:
             cause = "line search stalled"  # at machine precision
             break
-        step = alpha * float(np.abs(direction).max())
-        decrease = obj - new_obj
-        theta, obj = new_theta, new_obj
+        decrease = obj - cand_obj
+        theta, obj = cand, cand_obj
         trace.append(obj)
-        if decrease <= OBJ_TOL or step <= STEP_TOL:
+        if decrease <= OBJ_TOL:
             converged = True
             break
-    if not converged:
-        grad_max = float(np.abs(gradient(theta, work)).max())
-        converged = grad_max <= GRAD_TOL
+    iterations = len(trace) - 1
 
     gamma = space.gamma(theta)
     result = DensityFit(

@@ -105,6 +105,7 @@ class Triangulation:
             raise DegenerateTriangle(
                 f"triangles {bad.tolist()} have zero area (collinear vertices)"
             )
+        self.areas.setflags(write=False)
         self.area = float(self.areas.sum())
 
         self.triangles = triangles

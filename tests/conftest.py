@@ -85,12 +85,11 @@ def make_workspace(space, points, lam):
 
 
 def starve_newton(monkeypatch, max_iters, grad_tol, tol):
-    """Cap newton at max_iters iterations, with GRAD_TOL grad_tol and tol for
-    both OBJ_TOL and STEP_TOL, for the rest of the test."""
+    """Cap newton at max_iters iterations, with GRAD_TOL grad_tol and OBJ_TOL
+    tol, for the rest of the test."""
     from tridensity import estimator
 
-    for name, value in (("MAX_ITERS", max_iters), ("GRAD_TOL", grad_tol),
-                        ("OBJ_TOL", tol), ("STEP_TOL", tol)):
+    for name, value in (("MAX_ITERS", max_iters), ("GRAD_TOL", grad_tol), ("OBJ_TOL", tol)):
         monkeypatch.setattr(estimator, name, value)
 
 

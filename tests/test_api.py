@@ -93,7 +93,7 @@ def test_removed_helpers_and_options_stay_gone():
                          (model_selection, "_check_threads"),
                          (simbench, "_normalize_over_domain"), (quadrature, "integrate_domain"),
                          (mesh, "triangle_coords"), (mesh, "_corners"), (mesh, "_v3"),
-                         (spline_space._edge_template, "cache_info")):
+                         (spline_space._edge_template, "cache_info"), (estimator, "STEP_TOL")):
         assert not hasattr(module, name), name
     assert list(inspect.signature(errors.PointOutsideDomain).parameters) == ["indices"]
     for fn in (simbench.replication_estimators, simbench.run_benchmark):

@@ -1,4 +1,5 @@
-"""Operation 0 of every benchmark workload against its stored reference.
+"""Operation 0 of every benchmark workload, and operation 4 of
+cv_horseshoe, against the stored reference.
 
 The benchmark checks each operation's fingerprint (chosen lambda, CV
 errors, objective, MISE, density checksums) against bench/reference.json
@@ -40,15 +41,26 @@ def reference():
         return json.load(fh)
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_operation_0_matches_reference(name, reference, tmp_path, monkeypatch):
+def _assert_operation_matches(name, i, reference, work_dir, monkeypatch):
     from tridensity import model_selection
 
     # sim3_kde replaces select_lambda to keep the last CV report
     monkeypatch.setattr(model_selection, "select_lambda", model_selection.select_lambda)
-    wl = workloads.WORKLOADS[name](REFERENCE_SEED, str(tmp_path), False, True)
+    wl = workloads.WORKLOADS[name](REFERENCE_SEED, str(work_dir), False, True)
     wl.setup()
-    fp = wl.fingerprint(0, wl.op(0))
+    fp = wl.fingerprint(i, wl.op(i))
     assert wl.invariants(fp) == []
-    want = {k: v for k, v in reference[name][0].items() if k not in workloads.NOT_COMPARED}
+    want = {k: v for k, v in reference[name][i].items() if k not in workloads.NOT_COMPARED}
     assert workloads.compare(fp, want) is None
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_operation_0_matches_reference(name, reference, tmp_path, monkeypatch):
+    _assert_operation_matches(name, 0, reference, tmp_path, monkeypatch)
+
+
+def test_cv_horseshoe_operation_4_matches_reference(reference, tmp_path, monkeypatch):
+    """Of the 16 cv_horseshoe operations, operation 4 has the most fits
+    that Newton ends on its objective-decrease floor rather than on the
+    gradient test, so a change to the stop rule shows here first."""
+    _assert_operation_matches("cv_horseshoe", 4, reference, tmp_path, monkeypatch)

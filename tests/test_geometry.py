@@ -74,6 +74,16 @@ def test_corners_are_the_counterclockwise_gather(name):
     assert np.all(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0)
 
 
+@pytest.mark.parametrize("name", ["vertices", "triangles", "corners", "edges", "edge_triangles",
+                                  "areas"])
+def test_mesh_arrays_are_read_only(name):
+    """Bundled meshes are cached and shared by every caller in the process,
+    so no array of one may be written in place."""
+    arr = getattr(load_bundled_mesh("horseshoe_112"), name)
+    with pytest.raises(ValueError, match="read-only"):
+        arr[0] = arr[0]
+
+
 def test_corners_of_clockwise_input_are_swapped():
     verts = [[0, 0], [1, 0], [1, 1], [0, 1]]
     tr = Triangulation(verts, [[0, 2, 1], [0, 2, 3]])  # the first is clockwise
