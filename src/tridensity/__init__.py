@@ -33,7 +33,7 @@ _EXPORTS = {
     "quadrature": ("QuadRule", "conical_rule", "rule_9"),
     "simbench": (
         "KernelDensity", "MiseResult", "Scenario", "get_scenario", "mise", "run_benchmark",
-        "sample", "scenario_sim1", "scenario_sim2", "scenario_sim3",
+        "sample",
     ),
     "spline_space": ("nullspace", "penalty_matrix", "smoothness_matrix"),
 }

@@ -76,23 +76,17 @@ class ModelSpace:
     on the same mesh, e.g. cross-validation folds.
     """
 
+    # the quadrature rule of the fit's integral of exp(g)
+    rule = rule_9()
+
     def __init__(self, tr, spec):
         self.tr = tr
         self.spec = spec
-        self.rule = rule_9()
         # through the module, where a tracer wraps them
         self.basis = basis = spline_space.nullspace(spline_space.smoothness_matrix(tr, spec))[0]
         self.reduced_penalty = basis.T @ (penalty_matrix(tr, spec) @ basis)
         self.reduced_penalty = (self.reduced_penalty + self.reduced_penalty.T) / 2.0
-
-        n_q = len(self.rule.weights)
-        dim = spec.per_triangle_dim
-        local = bernstein.evaluate(spec.degree, self.rule.nodes)  # (n_q, dim)
-        blocks = basis.reshape(tr.n_triangles, dim, basis.shape[1])
-        self.quad_basis = np.einsum("qd,ndp->nqp", local, blocks).reshape(
-            tr.n_triangles * n_q, basis.shape[1]
-        )
-        self.quad_weights = domain_nodes(tr, self.rule)[1]
+        self.quad_basis, self.quad_weights = _rule_nodes(tr, spec, basis)
         # The seed's ridge system depends only on the space. It is factored
         # here, not on first use, so that concurrent fits only read it.
         a = self.quad_basis
@@ -259,15 +253,22 @@ class DensityFit:
         return density_from_gamma(self.tr, self.spec, self.gamma, points)
 
 
+def _rule_nodes(tr, spec, coefficients):
+    """Node values of raw per-triangle coefficient blocks (one column each;
+    a vector is one column) and node weights of ModelSpace.rule over the
+    mesh, both triangle-major as quadrature.domain_nodes lays them out."""
+    local = bernstein.evaluate(spec.degree, ModelSpace.rule.nodes)  # (n_q, dim)
+    blocks = coefficients.reshape(tr.n_triangles, spec.per_triangle_dim, -1)
+    values = np.einsum("qd,ndp->nqp", local, blocks).reshape(-1, blocks.shape[2])
+    return values, domain_nodes(tr, ModelSpace.rule)[1]
+
+
 def log_integral_exp(tr, spec, gamma):
     """Log of the quadrature integral of exp(g) for raw coefficients,
     shifted by the largest node value so that exp cannot overflow."""
-    rule = rule_9()
-    local = bernstein.evaluate(spec.degree, rule.nodes)
-    dim = spec.per_triangle_dim
-    eta = local @ gamma.reshape(tr.n_triangles, dim).T  # (n_q, N)
-    top = float(eta.max())
-    return top + float(np.log(np.sum(tr.areas * (rule.weights @ np.exp(eta - top)))))
+    values, weights = _rule_nodes(tr, spec, gamma)
+    top = float(values.max())
+    return top + float(np.log(weights @ np.exp(values[:, 0] - top)))
 
 
 def density_from_gamma(tr, spec, gamma, points):

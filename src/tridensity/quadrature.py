@@ -58,10 +58,10 @@ def conical_rule(degree):
     """Conical-product Gauss rule of the requested exactness degree.
 
     Collapses a Gauss-Legendre by Gauss-Jacobi(1, 0) tensor grid onto the
-    simplex through the Duffy substitution x = s(1-t), y = t. Node count
-    grows quadratically, so rule_9 is preferred up to degree 5; this rule
-    serves every higher degree (the roughness matrix above m = 4) and is an
-    independently constructed cross-check.
+    simplex through the Duffy substitution x = s(1-t), y = t, with
+    (degree + 2) // 2 points per axis: 1 node at degree 0, 4 at degree 2
+    and 9 at degree 4. It assembles the roughness matrix at every spline
+    degree, and it cross-checks rule_9 as an independently built rule.
     """
     from scipy.special import roots_jacobi, roots_legendre
 

@@ -509,21 +509,21 @@ class MiseResult:
     estimates: list = field(default_factory=list)  # per replication: fit or exception
 
 
-def run_benchmark(scenario, n, reps, methods=METHODS, seed=0,
-                  spec=SplineSpec(3, 1), lambda_grid=model_selection.DEFAULT_LAMBDA_GRID,
+def run_benchmark(scenario, n, reps, methods=METHODS, seed=0, spec=SplineSpec(3, 1),
                   folds=10, mise_resolution=100):
     """Sample, fit and score each method over independent replications.
 
     Replication r derives its seed as seed XOR r, so results are a pure
     function of (scenario, n, reps, seed). Replications run in order;
-    each spline CV runs its folds as select_lambda does, so results do not
-    depend on the usable CPUs at a fixed BLAS thread count. A replication
-    whose fit raised or whose MISE is not finite (NonFiniteIntegrand)
-    failed: it is excluded from the aggregates and reported per method,
-    and the mean is NaN when every replication failed. Each method's
-    estimates keep every replication's fit or the exception that failed
-    it. Bad reps, n, methods (check_methods), folds, lambda_grid values or
-    mise_resolution raise ValueError before any sampling or fitting.
+    each spline CV runs over DEFAULT_LAMBDA_GRID, with its folds run as
+    select_lambda runs them, so results do not depend on the usable CPUs
+    at a fixed BLAS thread count. A replication whose fit raised or whose
+    MISE is not finite (NonFiniteIntegrand) failed: it is excluded from
+    the aggregates and reported per method, and the mean is NaN when
+    every replication failed. Each method's estimates keep every
+    replication's fit or the exception that failed it. Bad reps, n,
+    methods (check_methods), folds or mise_resolution raise ValueError
+    before any sampling or fitting.
     """
     methods = check_methods(methods)
     if reps < 1:
@@ -531,15 +531,14 @@ def run_benchmark(scenario, n, reps, methods=METHODS, seed=0,
     if n < 1:
         raise ValueError("n must be at least 1")
     model_selection.fold_assignments(n, folds, seed)  # checks 2 <= folds <= n
-    lambda_grid = model_selection.check_lambda_grid(lambda_grid)
     _check_resolution(mise_resolution)
     scenario = get_scenario(scenario) if isinstance(scenario, str) else scenario
     space = estimator.ModelSpace(scenario.domain, spec) if "bpst" in methods else None
 
     rows = []
     for r in range(reps):
-        fits = replication_estimators(scenario, n, seed ^ r, methods, spec=spec,
-                                      lambda_grid=lambda_grid, folds=folds, space=space)
+        fits = replication_estimators(scenario, n, seed ^ r, methods, spec=spec, folds=folds,
+                                      space=space)
         scores = {}
         for method, est in fits.items():
             if isinstance(est, Exception):

@@ -12,7 +12,7 @@ from scipy import linalg, sparse
 
 from . import bernstein
 from .geometry import barycentric
-from .quadrature import conical_rule, rule_9
+from .quadrature import conical_rule
 
 # Relative singular value threshold separating rank from null space.
 RANK_RTOL = 1e-9
@@ -109,16 +109,14 @@ def penalty_matrix(tr, spec):
 
     Entry (a, b) of a triangle block integrates
     gxx_a gxx_b + 2 gxy_a gxy_b + gyy_a gyy_b over that triangle. The
-    integrand has polynomial degree 2(m-2), so a rule of at least that
-    exactness makes assembly exact: rule_9 up to degree 5 (m <= 4), the
-    conical rule of that degree above. Linear pieces have zero energy.
+    integrand has polynomial degree 2(m-2), so the conical rule of that
+    degree makes assembly exact. Linear pieces have zero energy.
     """
     m = spec.degree
     n = spec.dimension(tr)
     if m < 2:
         return sparse.csr_matrix((n, n))
-    needed = 2 * (m - 2)
-    rule = rule_9() if needed <= 5 else conical_rule(needed)
+    rule = conical_rule(2 * (m - 2))
     w = rule.weights[:, None]
     dxx, dxy, dyy = (bernstein.derivative(m, tr.corners, orders, rule.nodes)
                      for orders in ((2, 0), (1, 1), (0, 2)))  # (N, nodes, dim) each

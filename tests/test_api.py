@@ -23,13 +23,13 @@ def test_exported_names_resolve_and_exclude_modules():
                  "EnvelopeViolated", "integrate_triangle", "fold_error", "EvalMatrix",
                  "interpolate_function", "domain_points", "rule_12", "make_workspace",
                  "integrate_domain", "triangle_coords", "objective", "gradient", "hessian",
-                 "init_theta"):
+                 "init_theta", "scenario_sim1", "scenario_sim2", "scenario_sim3"):
         assert gone not in tridensity.__all__
         assert not hasattr(tridensity, gone)
 
 
 def test_exported_names_are_their_modules_objects():
-    assert len(tridensity.__all__) == 47
+    assert len(tridensity.__all__) == 44
     for name in tridensity.__all__:
         module = importlib.import_module(f"tridensity.{tridensity._ORIGIN[name]}")
         assert getattr(tridensity, name) is getattr(module, name), name
@@ -123,8 +123,8 @@ def test_removed_helpers_and_options_stay_gone():
                         ["scenario", "n", "rep_seed", "methods", "spec", "lambda_grid", "folds",
                          "space"]),
                        (simbench.run_benchmark,
-                        ["scenario", "n", "reps", "methods", "seed", "spec", "lambda_grid",
-                         "folds", "mise_resolution"]),
+                        ["scenario", "n", "reps", "methods", "seed", "spec", "folds",
+                         "mise_resolution"]),
                        (bernstein.evaluation_matrix, ["tr", "spec", "points"]),
                        (spline_space.nullspace, ["h"]),
                        (simbench.horseshoe_function, ["points"]),

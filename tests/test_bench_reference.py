@@ -1,5 +1,5 @@
-"""Operation 0 of every benchmark workload, and operation 4 of
-cv_horseshoe, against the stored reference.
+"""Operation 0 of every benchmark workload, and operations 4 and 10 of
+cv_horseshoe and 5 of sim3_kde, against the stored reference.
 
 The benchmark checks each operation's fingerprint (chosen lambda, CV
 errors, objective, MISE, density checksums) against bench/reference.json
@@ -64,3 +64,12 @@ def test_cv_horseshoe_operation_4_matches_reference(reference, tmp_path, monkeyp
     that Newton ends on its objective-decrease floor rather than on the
     gradient test, so a change to the stop rule shows here first."""
     _assert_operation_matches("cv_horseshoe", 4, reference, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("name, i", [("cv_horseshoe", 10), ("sim3_kde", 5)])
+def test_seed_sensitive_operation_matches_reference(name, i, reference, tmp_path, monkeypatch):
+    """The operations that leave the reference first when Newton's starting
+    point changes. A start at theta = 0 and a seed ridge scaled by the
+    domain area each move both of them; neither moves sim3_kde's
+    operation 0."""
+    _assert_operation_matches(name, i, reference, tmp_path, monkeypatch)

@@ -22,7 +22,7 @@ from tridensity.bernstein import SplineSpec, evaluate, evaluation_matrix
 from tridensity.errors import (DegenerateTriangle, IndexOutOfRange, MeshError, NonConforming,
                                PointOutsideDomain, UnsupportedSmoothness)
 from tridensity.geometry import Triangulation
-from tridensity.quadrature import conical_rule, rule_9
+from tridensity.quadrature import conical_rule
 from tridensity.spline_space import penalty_matrix, smoothness_matrix
 
 from conftest import grid_mesh
@@ -241,17 +241,14 @@ def _storage_index(exponents, positions):
 
 
 def _parent_penalty_matrix(tr, spec):
-    """The roughness matrix built one triangle block at a time, as it was."""
+    """The roughness matrix built one triangle block at a time, on the
+    conical rule of the integrand's degree."""
     m = spec.degree
     dim = spec.per_triangle_dim
     n = spec.dimension(tr)
     if m < 2:
         return sparse.csr_matrix((n, n))
-    needed = 2 * (m - 2)
-    if needed <= 5:
-        rule = rule_9()
-    else:
-        rule = conical_rule(needed)
+    rule = conical_rule(2 * (m - 2))
     w = rule.weights
     blocks = []
     for t in range(tr.n_triangles):
@@ -402,7 +399,7 @@ def test_smoothness_matrix_matches_parent(mesh_pair, m, r):
     _assert_same_csr(smoothness_matrix(tr, spec), _parent_smoothness_matrix(parent, spec))
 
 
-@pytest.mark.parametrize("m", range(8))  # rule_9 and conical rules
+@pytest.mark.parametrize("m", range(8))  # conical rules of 1 to 36 nodes from m = 2
 def test_penalty_matrix_matches_parent(mesh_pair, m):
     name, tr, parent = mesh_pair
     spec = SplineSpec(m, 0)
