@@ -478,7 +478,9 @@ def test_run_benchmark_rejects_zero_reps(monkeypatch):
 
 
 @pytest.mark.parametrize("kwargs", [{"n": 0}, {"folds": 1}, {"folds": 61},
-                                    {"mise_resolution": 49}, {"methods": ()},
+                                    {"mise_resolution": 49},
+                                    {"methods": ("bpst", "foo")},
+                                    {"methods": ("bpst", "bpst")}, {"methods": ()},
                                     {"methods": ("foo",)}, {"methods": ("kde", "kde")}])
 def test_run_benchmark_rejects_bad_input_before_fitting(kwargs, monkeypatch):
     from tridensity import estimator
